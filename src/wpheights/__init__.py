@@ -2,11 +2,11 @@
 
 All arithmetic is exact: arbitrary-precision integers and rationals, with
 irrational values carried as canonical radicals m**(1/k).  The library covers
-weighted greatest common divisors (plain and absolute, with an independent
-gcd-recombining route), normalization and canonical representatives of points
-in weighted projective space over the rationals, weight well-forming, naive
-sizes, weighted heights by two independent routes, and a complete enumerator
-of all points of bounded weighted height.
+weighted greatest common divisors (plain and absolute), normalization and
+canonical representatives of points in weighted projective space over the
+rationals, weight well-forming, naive sizes, weighted heights by two
+independent routes, and a complete enumerator of all points of bounded
+weighted height.
 """
 
 from .factorization import (
@@ -37,11 +37,9 @@ from .wgcd import (
     WeightedTuple,
     as_weight_system,
     awgcd,
-    awgcd_via_gcd,
     generalized_awgcd,
     generalized_wgcd,
     wgcd,
-    wgcd_via_gcd,
 )
 from .projective import (
     WeightedPoint,
@@ -93,7 +91,6 @@ __all__ = [
     "apply_well_forming",
     "as_weight_system",
     "awgcd",
-    "awgcd_via_gcd",
     "bounded_points",
     "canonical_rep",
     "clear_denominators",
@@ -130,5 +127,4 @@ __all__ = [
     "weil_height",
     "well_form",
     "wgcd",
-    "wgcd_via_gcd",
 ]

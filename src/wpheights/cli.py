@@ -262,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("-w", "--weights", required=True, type=str, metavar="Q0,Q1,...")
         sub.add_argument("--records", action="store_true", help="key=value line records")
         sub.add_argument("--factor-bound", type=int, default=None, metavar="N",
-                         help="trial-division cutoff")
+                         help="trial-division cutoff, at least 2")
         sub.add_argument("--seed", type=int, default=None, metavar="N",
                          help="seed for the randomized factoring stage")
         if coords >= 1:
@@ -298,6 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.factor_bound is not None and args.factor_bound < 2:
+        parser.error(f"argument --factor-bound: must be at least 2, got {args.factor_bound}")
     try:
         args.weights = _parse_weights(args.weights)
         if args.factor_bound is not None or args.seed is not None:

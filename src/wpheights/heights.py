@@ -8,10 +8,10 @@ q-th root of the Weil height of the powered image under
 
 with q the product of the weights.  Both routes are implemented exactly: the
 phi reduction (the primary definition here) and the place-by-place product
-(the independent cross-check).  The same reduction powers a provably complete
-enumerator of all points of height at most a bound: enumerate the ordinary
-projective points below the powered bound, keep the ones with a rational
-preimage, and pull each back.
+(the independent cross-check).  The same reduction, taken through the lcm of
+the weights, powers a provably complete enumerator of all points of height at
+most a bound: enumerate the ordinary projective points below the powered
+bound, keep the ones with a rational preimage, and pull each back.
 """
 
 from __future__ import annotations
@@ -19,11 +19,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Iterable, Iterator
 
-from .factorization import factorize, iroot, nth_root_rational
-from .radicals import ONE, ExactRoot, exact_root_compare
+from .factorization import _factor_positive, default_config, factorize, iroot, nth_root_rational
+from .radicals import ONE, ExactRoot
 from .projective import WeightedPoint, canonical_rep, clear_denominators
 from .wgcd import WeightSystem, as_weight_system
 
@@ -175,7 +174,8 @@ def phi_preimage(y: ProjectivePoint, weights: WeightSystem | Iterable[int]) -> W
     valuation of mu must satisfy one congruence per nonzero coordinate
     (combined by the Chinese remainder theorem), primes outside the support
     take exponent zero, and both signs of mu are tried subject to the parity
-    of the powering exponents.
+    of the powering exponents.  The smallest such mu is a positive integer,
+    so the search runs on integers throughout.
     """
     ws = as_weight_system(weights)
     if len(y.coords) != len(ws):
@@ -184,9 +184,10 @@ def phi_preimage(y: ProjectivePoint, weights: WeightSystem | Iterable[int]) -> W
     powering = [product // q for q in ws]
     nonzero = [(i, c) for i, c in enumerate(y.coords) if c != 0]
 
-    profiles = [(factorize(abs(c)).factors, powering[i]) for i, c in nonzero]
+    config = default_config()
+    profiles = [(_factor_positive(abs(c), config), powering[i]) for i, c in nonzero]
     support = {ell for profile, _ in profiles for ell in profile}
-    magnitude = Fraction(1)
+    magnitude = 1
     for ell in sorted(support):
         residue, modulus = 0, 1
         for profile, exponent in profiles:
@@ -194,21 +195,18 @@ def phi_preimage(y: ProjectivePoint, weights: WeightSystem | Iterable[int]) -> W
             if combined is None:
                 return None
             residue, modulus = combined
-        magnitude *= Fraction(ell) ** residue
+        magnitude *= ell**residue
 
-    for sign in (1, -1):
-        mu = sign * magnitude
-        coords: list[Fraction] = [Fraction(0)] * len(y.coords)
-        ok = True
+    for mu in (magnitude, -magnitude):
+        coords = [0] * len(y.coords)
         for i, c in nonzero:
             powered = mu * c
             if powered < 0 and powering[i] % 2 == 0:
-                ok = False
                 break
-            root = nth_root_rational(abs(powered), powering[i])
-            assert root is not None  # the congruences guarantee a perfect power
+            root = iroot(abs(powered), powering[i])
+            assert root ** powering[i] == abs(powered)  # the congruences guarantee it
             coords[i] = root if powered > 0 else -root
-        if ok:
+        else:
             return WeightedPoint(coords, ws)
     return None
 
@@ -228,8 +226,8 @@ def _floor_power(bound: ExactRoot, exponent: int) -> int:
     return n
 
 
-def _projective_grid(length: int, box: int) -> Iterator[ProjectivePoint]:
-    """All gcd-reduced, sign-normalized integer points with max |coord| <= box.
+def _projective_grid(length: int, box: int) -> Iterator[tuple[int, ...]]:
+    """All gcd-reduced, sign-normalized integer tuples with max |coord| <= box.
 
     Deterministic lexicographic order over the raw coordinate boxes, keeping
     exactly the tuples already in normal form (gcd 1, first nonzero positive).
@@ -249,9 +247,14 @@ def _projective_grid(length: int, box: int) -> Iterator[ProjectivePoint]:
             continue
         if math.gcd(*raw) != 1:
             continue
-        point = object.__new__(ProjectivePoint)
-        object.__setattr__(point, "coords", raw)
-        yield point
+        yield raw
+
+
+def _normalized_point(coords: tuple[int, ...]) -> ProjectivePoint:
+    """Wrap coordinates already in normal form, skipping the constructor's reduction."""
+    point = object.__new__(ProjectivePoint)
+    object.__setattr__(point, "coords", coords)
+    return point
 
 
 def bounded_points(
@@ -259,34 +262,40 @@ def bounded_points(
 ) -> list[tuple[WeightedPoint, ExactRoot]]:
     """Canonical representatives with weighted height <= bound, with their heights.
 
-    Complete by the powered-image reduction: every class of height at most B
-    maps to an ordinary projective point of Weil height at most B**q, all of
-    which are enumerated, tested for a rational preimage, and pulled back.
-    Sorted by (height, coordinates); deterministic.
+    Complete by the powered-image reduction through phi_L, with L the lcm of
+    the weights: wh(p)**L is the Weil height of phi_L(p), so every class of
+    height at most B maps to an ordinary projective point y of Weil height at
+    most B**L, and all of those are enumerated.  Since phi = (.)**s o phi_L
+    with s = weight_product / L, the classes over y are exactly the phi
+    preimages of y**s; a gcd-reduced, sign-normalized y stays so under
+    powering.  canonical_rep is keyed on phi, so the classes found dedupe
+    exactly as a scan of the phi image would.  Sorted by (height,
+    coordinates); deterministic.
     """
     ws = as_weight_system(weights)
     if not isinstance(bound, ExactRoot):
         bound = ExactRoot(Fraction(bound))
     if bound < ONE:
         return []
-    product = ws.weight_product
-    height_cap = _floor_power(bound, product)
-    results: dict[tuple[Fraction, ...], tuple[WeightedPoint, ExactRoot]] = {}
-    for y in _projective_grid(len(ws), height_cap):
-        preimage = phi_preimage(y, ws)
+    lcm = math.lcm(*ws)
+    power = ws.weight_product // lcm
+    classes: dict[tuple[int, ...], tuple[int, WeightedPoint]] = {}
+    for y in _projective_grid(len(ws), _floor_power(bound, lcm)):
+        preimage = phi_preimage(_normalized_point(tuple(c**power for c in y)), ws)
         if preimage is None:
             continue
-        height = ExactRoot(Fraction(weil_height(y)), product)
         rep = canonical_rep(preimage)
-        results[rep.coords] = (rep, height)
+        weil = max(map(abs, y))
+        classes[tuple(c.numerator for c in rep.coords)] = (weil, rep)
 
-    def order(a: tuple[WeightedPoint, ExactRoot], b: tuple[WeightedPoint, ExactRoot]) -> int:
-        by_height = exact_root_compare(a[1], b[1])
-        if by_height:
-            return by_height
-        return (a[0].coords > b[0].coords) - (a[0].coords < b[0].coords)
-
-    return sorted(results.values(), key=cmp_to_key(order))
+    heights: dict[int, ExactRoot] = {}
+    listing = []
+    for key in sorted(classes, key=lambda key: (classes[key][0], key)):
+        h, rep = classes[key]
+        if h not in heights:
+            heights[h] = ExactRoot(Fraction(h), lcm)
+        listing.append((rep, heights[h]))
+    return listing
 
 
 def enumerate_bounded(

@@ -67,10 +67,6 @@ class ExactRoot:
         object.__setattr__(root, "index", index)
         return root
 
-    def exponents(self) -> dict[int, Fraction]:
-        """Prime-to-rational-exponent map of the value."""
-        return {p: Fraction(e, self.index) for p, e in factorize(self.radicand).factors.items()}
-
     def is_rational(self) -> bool:
         return self.index == 1
 

@@ -4,9 +4,8 @@ A weight system (q_0, ..., q_n) grades each coordinate of a tuple.  The
 weighted gcd is the largest integer d with d**q_i dividing x_i for every i;
 the absolute variant allows any positive real d whose powers d**q_i are
 integers, and always comes out as a root of an integer with index dividing
-gcd(q_0, ..., q_n).  Both are computed two ways: directly from the prime
-factorization of every coordinate, and by factoring only gcd(x) and
-recombining, which the tests hold to exact agreement.
+gcd(q_0, ..., q_n).  Both factor only gcd(x) and recombine; the tests hold
+them to exact agreement with a route that factors every coordinate.
 
 Zero coordinates never constrain the divisor (d**q divides 0 for every d);
 the all-zero tuple is rejected.  Signs are ignored: divisors are positive.
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .factorization import factorize
+from .factorization import _extract, factorize
 from .radicals import ExactRoot
 
 
@@ -96,32 +95,31 @@ def _as_int(value) -> int:
     return as_fraction.numerator
 
 
-def _exponent_profile(x: WeightedTuple, divisors: Sequence[int]) -> dict[int, int]:
-    """Per-prime min over nonzero coordinates of floor(v_p(x_i) / divisors[i])."""
-    profile: dict[int, int] | None = None
-    for coord, unit in zip(x.coords, divisors):
-        if coord == 0:
-            continue
-        exponents = factorize(abs(coord)).factors
-        local = {p: e // unit for p, e in exponents.items()}
-        if profile is None:
-            profile = local
-        else:
-            profile = {
-                p: min(a, local.get(p, 0)) for p, a in profile.items() if local.get(p, 0) > 0
-            }
-    assert profile is not None  # not-all-zero is a type invariant
-    return {p: a for p, a in profile.items() if a > 0}
+def _recombine(x: WeightedTuple, divisors: Sequence[int]) -> int:
+    """Per prime, the min over nonzero coordinates of floor(v_p(x_i) / divisors[i]).
+
+    Only gcd(x) is factored: a prime outside it has v_p(x_i) = 0 for some i.
+    The exponent of p is at most v_p(gcd(x)) // min(divisors), often 0; when
+    it is not, the valuations of the coordinates come from repeated division.
+    """
+    nonzero = [(abs(c), u) for c, u in zip(x.coords, divisors) if c != 0]
+    g = math.gcd(*(c for c, _ in nonzero))
+    if g == 1:
+        return 1
+    unit_min = min(u for _, u in nonzero)
+    result = 1
+    for p, s in factorize(g).factors.items():
+        if s >= unit_min:
+            result *= p ** min(_extract(c, p)[1] // u for c, u in nonzero)
+    return result
 
 
 def wgcd(x: WeightedTuple) -> int:
     """Largest integer d with d**q_i dividing x_i for every i.
 
-    Computed from the factorization of each nonzero coordinate: per prime,
-    take the minimum over coordinates of floor(v_p(x_i) / q_i).
+    Only gcd(x) is factored: a prime outside it cannot divide d.
     """
-    profile = _exponent_profile(x, x.weights.weights)
-    return math.prod(p**a for p, a in profile.items())
+    return _recombine(x, x.weights.weights)
 
 
 def awgcd(x: WeightedTuple) -> ExactRoot:
@@ -131,39 +129,6 @@ def awgcd(x: WeightedTuple) -> ExactRoot:
     per prime the exponent is the minimum of floor(v_p(x_i) / qbar_i) over
     the reduced weights qbar_i = q_i / weight_gcd.
     """
-    profile = _exponent_profile(x, x.weights.reduced_weights)
-    radicand = math.prod(p**a for p, a in profile.items())
-    return ExactRoot(Fraction(radicand), x.weights.weight_gcd)
-
-
-def _recombine(x: WeightedTuple, divisors: Sequence[int]) -> int:
-    """Factor only gcd(x), then lower per-prime caps by divisibility checks.
-
-    The cap floor(s_p / min_i divisors[i]) bounds the attainable exponent;
-    it is not always attained, so each prime descends until the power test
-    p**(a * divisors[i]) | x_i holds for every nonzero coordinate.
-    """
-    nonzero = [(c, u) for c, u in zip(x.coords, divisors) if c != 0]
-    g = math.gcd(*(c for c, _ in nonzero))
-    if g == 1:
-        return 1
-    unit_min = min(u for _, u in nonzero)
-    result = 1
-    for p, s in factorize(g).factors.items():
-        a = s // unit_min
-        while a > 0 and not all(c % p ** (a * u) == 0 for c, u in nonzero):
-            a -= 1
-        result *= p**a
-    return result
-
-
-def wgcd_via_gcd(x: WeightedTuple) -> int:
-    """Same value as :func:`wgcd`, factoring only gcd(x)."""
-    return _recombine(x, x.weights.weights)
-
-
-def awgcd_via_gcd(x: WeightedTuple) -> ExactRoot:
-    """Same value as :func:`awgcd`, factoring only gcd(x)."""
     radicand = _recombine(x, x.weights.reduced_weights)
     return ExactRoot(Fraction(radicand), x.weights.weight_gcd)
 

@@ -1,8 +1,9 @@
 """Brute-force reference implementations the library is tested against.
 
 Everything here is deliberately naive: divisor sweeps and box scans whose
-correctness is obvious from the definitions, used as independent oracles for
-the factorization-based production routes.
+correctness is obvious from the definitions, plus the wgcd/awgcd route that
+factors every coordinate, used as independent oracles for the production
+routes (which factor only gcd(x)).
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ from fractions import Fraction
 from wpheights import (
     ExactRoot,
     WeightedPoint,
+    WeightedTuple,
     as_weight_system,
     canonical_rep,
+    factorize,
     iroot,
 )
 from wpheights.heights import _floor_power
@@ -47,6 +50,37 @@ def awgcd_brute(coords, weights) -> ExactRoot:
             best = m
             break
     return ExactRoot(Fraction(best), r)
+
+
+def _exponent_profile(x: WeightedTuple, divisors) -> dict[int, int]:
+    """Per-prime min over nonzero coordinates of floor(v_p(x_i) / divisors[i])."""
+    profile: dict[int, int] | None = None
+    for coord, unit in zip(x.coords, divisors):
+        if coord == 0:
+            continue
+        exponents = factorize(abs(coord)).factors
+        local = {p: e // unit for p, e in exponents.items()}
+        if profile is None:
+            profile = local
+        else:
+            profile = {
+                p: min(a, local.get(p, 0)) for p, a in profile.items() if local.get(p, 0) > 0
+            }
+    assert profile is not None  # not-all-zero is a type invariant
+    return {p: a for p, a in profile.items() if a > 0}
+
+
+def wgcd_factoring(x: WeightedTuple) -> int:
+    """wgcd from the factorization of every nonzero coordinate."""
+    profile = _exponent_profile(x, x.weights.weights)
+    return math.prod(p**a for p, a in profile.items())
+
+
+def awgcd_factoring(x: WeightedTuple) -> ExactRoot:
+    """awgcd from the factorization of every nonzero coordinate."""
+    profile = _exponent_profile(x, x.weights.reduced_weights)
+    radicand = math.prod(p**a for p, a in profile.items())
+    return ExactRoot(Fraction(radicand), x.weights.weight_gcd)
 
 
 def weil_height_of_raw(coords, weights) -> int:

@@ -11,13 +11,12 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from oracles import bounded_classes_brute
+from oracles import awgcd_factoring, bounded_classes_brute, wgcd_factoring
 from wpheights import (
     ExactRoot,
     WeightedPoint,
     WeightedTuple,
     awgcd,
-    awgcd_via_gcd,
     canonical_rep,
     clear_denominators,
     counting_function,
@@ -35,7 +34,6 @@ from wpheights import (
     weil_height,
     well_form,
     wgcd,
-    wgcd_via_gcd,
 )
 from wpheights.cli import main as cli_main
 
@@ -123,8 +121,8 @@ def test_criterion_3_oracle_equivalence_on_10000_tuples():
         root = awgcd(t)
         powered = root ** t.weights.weight_gcd
         ok = (
-            d == wgcd_via_gcd(t)
-            and root == awgcd_via_gcd(t)
+            d == wgcd_factoring(t)
+            and root == awgcd_factoring(t)
             and all(c % d**q == 0 for c, q in live)
             and all(
                 not all(c % (bump * d) ** q == 0 for c, q in live)

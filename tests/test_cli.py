@@ -132,3 +132,10 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as excinfo:
         main(["bogus"])
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("bound", ["0", "1", "-5"])
+def test_factor_bound_below_two_is_a_usage_error(bound):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["wgcd", "-w", "3,2", "--factor-bound", bound, "1440,700"])
+    assert excinfo.value.code == 2

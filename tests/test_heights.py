@@ -214,6 +214,22 @@ def test_enumerate_matches_box_oracle_three_coordinates():
     assert enum == bounded_classes_brute((1, 2, 3), bound, 12)
 
 
+@pytest.mark.parametrize(
+    "weights, bound, classes, boxes",
+    [
+        ((2, 4, 6), ExactRoot(3, 12), 13, (18, 22)),
+        ((2, 4, 6, 10), ExactRoot(2, 60), 15, (2, 4)),
+    ],
+)
+def test_enumerate_shared_factor_weights_matches_box_oracle(weights, bound, classes, boxes):
+    # The weight product far exceeds lcm(w) here, so a scan of the phi image
+    # up to B**product (about 6.9e10 grid points for (2,4,6,10)) is infeasible.
+    enum = {p.coords for p in enumerate_bounded(weights, bound)}
+    assert len(enum) == classes
+    for box in boxes:
+        assert enum == bounded_classes_brute(weights, bound, box)
+
+
 def test_enumeration_heights_are_within_bound():
     bound = ExactRoot(4, 6)
     for point, height in bounded_points((2, 3), bound):

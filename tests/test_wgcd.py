@@ -4,17 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import awgcd_brute, wgcd_brute
+from oracles import awgcd_brute, awgcd_factoring, wgcd_brute, wgcd_factoring
 from wpheights import (
     ExactRoot,
     WeightSystem,
     WeightedTuple,
     awgcd,
-    awgcd_via_gcd,
     generalized_awgcd,
     generalized_wgcd,
     wgcd,
-    wgcd_via_gcd,
 )
 
 
@@ -44,22 +42,22 @@ def test_weighted_tuple_validation():
 def test_wgcd_toy_example():
     t = WeightedTuple((1440, 700), (3, 2))
     assert wgcd(t) == 2
-    assert wgcd_via_gcd(t) == 2
+    assert wgcd_factoring(t) == 2
 
 
 def test_wgcd_and_awgcd_weights_6_8():
     t = WeightedTuple((2**15 * 5**12, 2**26 * 5**13), (6, 8))
     assert wgcd(t) == 20
     assert awgcd(t) == ExactRoot(4000, 2)
-    assert awgcd_via_gcd(t) == ExactRoot(4000, 2)
+    assert awgcd_factoring(t) == ExactRoot(4000, 2)
 
 
 def test_wgcd_and_awgcd_weights_2_4_6_10():
     t = WeightedTuple((3 * 5**2, 3**2 * 5**4, 3**3 * 5**6, 3**5 * 5**10), (2, 4, 6, 10))
     assert wgcd(t) == 5
-    assert wgcd_via_gcd(t) == 5
+    assert wgcd_factoring(t) == 5
     assert awgcd(t) == ExactRoot(75, 2)  # 5 * sqrt(3)
-    assert awgcd_via_gcd(t) == ExactRoot(75, 2)
+    assert awgcd_factoring(t) == ExactRoot(75, 2)
 
 
 def test_wgcd_awgcd_2_3_7_point():
@@ -78,30 +76,39 @@ def test_wgcd_with_unit_coordinate():
 
 def test_wgcd_single_coordinate():
     assert wgcd(WeightedTuple((32,), (5,))) == 2
-    assert wgcd_via_gcd(WeightedTuple((32,), (5,))) == 2
+    assert wgcd_factoring(WeightedTuple((32,), (5,))) == 2
 
 
 def test_zero_coordinates_impose_no_constraint():
     # d**5 divides 0 for every d, so only the second coordinate matters.
     t = WeightedTuple((0, 32), (5, 1))
     assert wgcd(t) == 32
-    assert wgcd_via_gcd(t) == 32
+    assert wgcd_factoring(t) == 32
     assert awgcd(t) == 32
 
 
 def test_recombining_cap_needs_min_weight_not_min_quotient():
-    # gcd((p**3, p**10)) = p**3; the attainable exponent is 2, above
-    # floor(3/5) = 0, so the cap has to come from the smallest weight.
+    # gcd((p**3, p**10)) = p**3, yet the exponent is min(3 // 1, 10 // 5) = 2:
+    # dividing v_p(gcd) by the largest weight (floor(3/5) = 0) would miss it.
     t = WeightedTuple((7**3, 7**10), (1, 5))
     assert wgcd(t) == 49
-    assert wgcd_via_gcd(t) == 49
+    assert wgcd_factoring(t) == 49
     assert wgcd_brute((7**3, 7**10), (1, 5)) == 49
 
 
 def test_recombining_descent_below_cap():
-    # cap from gcd = p**3 with min weight 1 is 3, but 3*5 > 10 forces descent.
+    # v_p(gcd) over the smallest weight is 3, but the second coordinate
+    # allows only 10 // 5 = 2.
     t = WeightedTuple((3**3, 3**10), (1, 5))
-    assert wgcd_via_gcd(t) == wgcd(t) == 9
+    assert wgcd_factoring(t) == wgcd(t) == 9
+
+
+def test_exponent_far_below_gcd_valuation():
+    # v_2(gcd) = 4000 over the smallest weight allows 4000, the heavy
+    # coordinate only 1: the exponent is found without stepping down to it.
+    t = WeightedTuple((2**4000, 2**4000), (1, 4000))
+    assert wgcd(t) == wgcd_factoring(t) == 2
+    assert awgcd(t) == awgcd_factoring(t) == 2
 
 
 def test_awgcd_12_18_weights_2_2_is_sqrt_six():
@@ -109,7 +116,7 @@ def test_awgcd_12_18_weights_2_2_is_sqrt_six():
     # sqrt(6); a brute-force sweep over integer values of d**2 agrees.
     t = WeightedTuple((12, 18), (2, 2))
     assert awgcd(t) == ExactRoot(6, 2)
-    assert awgcd_via_gcd(t) == ExactRoot(6, 2)
+    assert awgcd_factoring(t) == ExactRoot(6, 2)
     assert awgcd_brute((12, 18), (2, 2)) == ExactRoot(6, 2)
 
 
@@ -171,9 +178,9 @@ def test_routes_agree_and_invariants_hold_seeded():
     for _ in range(500):
         t = _random_tuple(rng)
         d = wgcd(t)
-        assert d == wgcd_via_gcd(t)
+        assert d == wgcd_factoring(t)
         root = awgcd(t)
-        assert root == awgcd_via_gcd(t)
+        assert root == awgcd_factoring(t)
         live = [(abs(c), q) for c, q in zip(t.coords, t.weights) if c != 0]
         # divisibility and maximality
         assert all(c % d**q == 0 for c, q in live)
