@@ -1,11 +1,12 @@
 """Exact factorization of integers and rationals, with deterministic primality.
 
-Everything here is exact: a result is either a proven prime decomposition or
-an explicit :class:`IncompleteFactorizationError`, never a silently wrong
-answer.  The factoring pipeline is trial division by small primes, a
-deterministic strong-pseudoprime certificate, and a seeded Brent/Pollard rho
-stage for the composite cofactors, with a final trial-division sweep up to the
-configured bound before giving up.  All stages are deterministic functions of
+Everything here is exact: a result is either a prime decomposition or an
+explicit :class:`IncompleteFactorizationError`, never a silently wrong answer.
+The factoring pipeline is trial division by small primes, a deterministic
+strong-pseudoprime certificate, and a seeded Brent/Pollard rho stage for the
+composite cofactors, with a final trial-division sweep up to the configured
+bound before giving up.  Primality of a factor below ~3.3e24 is proven; above
+that it rests on Bach's GRH-conditional base bound (see :func:`is_prime`).  All stages are deterministic functions of
 the input and the configuration seed, so results are reproducible and safe to
 share between threads.
 """
@@ -107,9 +108,12 @@ def _is_strong_probable_prime(n: int, base: int) -> bool:
 def is_prime(n: int) -> bool:
     """Deterministic primality test.
 
-    Below ~3.3e24 this is the proven twelve-base strong-pseudoprime
-    certificate; above it falls back to testing every prime base up to
-    2*ln(n)^2, which inputs at the scale this library targets never reach.
+    Below ~3.3e24 (_MR_PROVEN_LIMIT) this is the proven twelve-base
+    strong-pseudoprime certificate.  Above it every prime base up to
+    2*ln(n)^2 is tested; that sweep is a correct certificate only under the
+    generalized Riemann hypothesis (Bach, Explicit bounds for primality
+    testing and related problems, Math. Comp. 1990), so a "prime" answer
+    there is GRH-conditional.
     """
     if n < 2:
         return False

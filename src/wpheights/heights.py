@@ -16,6 +16,7 @@ bound, keep the ones with a rational preimage, and pull each back.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +24,7 @@ from typing import Iterable, Iterator
 
 from .factorization import _factor_positive, default_config, factorize, iroot, nth_root_rational
 from .radicals import ONE, ExactRoot
-from .projective import WeightedPoint, canonical_rep, clear_denominators
+from .projective import WeightedPoint, clear_denominators
 from .wgcd import WeightSystem, as_weight_system
 
 
@@ -176,6 +177,19 @@ def phi_preimage(y: ProjectivePoint, weights: WeightSystem | Iterable[int]) -> W
     take exponent zero, and both signs of mu are tried subject to the parity
     of the powering exponents.  The smallest such mu is a positive integer,
     so the search runs on integers throughout.
+
+    For a normalized y (gcd 1, first nonzero coordinate positive, as every
+    ProjectivePoint is) the result is canonical_rep of its class:
+
+    - Magnitudes: each prime ell leaves some nonzero y_i prime to ell, so
+      every integral preimage has v_ell(mu) >= 0, and the least CRT residue
+      per prime gives the least magnitude of every coordinate at once.  The
+      absolute weighted gcd of the nonzero coordinates is therefore 1.
+    - Signs: with mu > 0, coordinates with an even powering exponent come
+      out positive and those with an odd one keep the sign of y, whose first
+      nonzero coordinate is positive.  mu < 0 is reached only when some
+      coordinate with an even exponent is nonzero, so the all-odd sign flip
+      of canonical_rep never applies.
     """
     ws = as_weight_system(weights)
     if len(y.coords) != len(ws):
@@ -229,25 +243,17 @@ def _floor_power(bound: ExactRoot, exponent: int) -> int:
 def _projective_grid(length: int, box: int) -> Iterator[tuple[int, ...]]:
     """All gcd-reduced, sign-normalized integer tuples with max |coord| <= box.
 
-    Deterministic lexicographic order over the raw coordinate boxes, keeping
-    exactly the tuples already in normal form (gcd 1, first nonzero positive).
+    Generated in normal form: the position of the first nonzero coordinate,
+    its value in 1..box, then every tail in the box; only the gcd test
+    filters.
     """
-    def rec(prefix: list[int], remaining: int) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            if any(prefix):
-                yield tuple(prefix)
-            return
-        for c in range(-box, box + 1):
-            prefix.append(c)
-            yield from rec(prefix, remaining - 1)
-            prefix.pop()
-
-    for raw in rec([], length):
-        if next(c for c in raw if c != 0) < 0:
-            continue
-        if math.gcd(*raw) != 1:
-            continue
-        yield raw
+    tails = range(-box, box + 1)
+    for lead in range(length):
+        zeros = (0,) * lead
+        for first in range(1, box + 1):
+            for tail in itertools.product(tails, repeat=length - lead - 1):
+                if math.gcd(first, *tail) == 1:
+                    yield (*zeros, first, *tail)
 
 
 def _normalized_point(coords: tuple[int, ...]) -> ProjectivePoint:
@@ -268,9 +274,11 @@ def bounded_points(
     most B**L, and all of those are enumerated.  Since phi = (.)**s o phi_L
     with s = weight_product / L, the classes over y are exactly the phi
     preimages of y**s; a gcd-reduced, sign-normalized y stays so under
-    powering.  canonical_rep is keyed on phi, so the classes found dedupe
-    exactly as a scan of the phi image would.  Sorted by (height,
-    coordinates); deterministic.
+    powering, and for such input phi_preimage returns the canonical
+    representative itself.  Classes are therefore keyed on the preimage's
+    coordinates, with no further canonicalization; two grid points reach the
+    same class only when their powered images agree, so they share max |y|.
+    Sorted by (height, coordinates); deterministic.
     """
     ws = as_weight_system(weights)
     if not isinstance(bound, ExactRoot):
@@ -281,12 +289,9 @@ def bounded_points(
     power = ws.weight_product // lcm
     classes: dict[tuple[int, ...], tuple[int, WeightedPoint]] = {}
     for y in _projective_grid(len(ws), _floor_power(bound, lcm)):
-        preimage = phi_preimage(_normalized_point(tuple(c**power for c in y)), ws)
-        if preimage is None:
-            continue
-        rep = canonical_rep(preimage)
-        weil = max(map(abs, y))
-        classes[tuple(c.numerator for c in rep.coords)] = (weil, rep)
+        rep = phi_preimage(_normalized_point(tuple(c**power for c in y)), ws)
+        if rep is not None:
+            classes[tuple(c.numerator for c in rep.coords)] = (max(map(abs, y)), rep)
 
     heights: dict[int, ExactRoot] = {}
     listing = []

@@ -133,66 +133,29 @@ def awgcd(x: WeightedTuple) -> ExactRoot:
     return ExactRoot(Fraction(radicand), x.weights.weight_gcd)
 
 
-def _plus_profile(
-    coords: Sequence[Fraction], weights: WeightSystem, divisors: Sequence[int]
-) -> dict[int, int]:
-    """Per-prime min over nonzero coords of floor(max(v_p, 0) / divisors[i])."""
-    support: set[int] = set()
-    factored: list[tuple[dict[int, int], int] | None] = []
-    for coord, unit in zip(coords, divisors):
-        if coord == 0:
-            factored.append(None)
-            continue
-        exponents = factorize(coord).factors
-        factored.append((exponents, unit))
-        support.update(p for p, e in exponents.items() if e > 0)
-    profile: dict[int, int] = {}
-    for p in support:
-        best: int | None = None
-        for entry in factored:
-            if entry is None:
-                continue
-            exponents, unit = entry
-            a = max(exponents.get(p, 0), 0) // unit
-            best = a if best is None else min(best, a)
-            if best == 0:
-                break
-        if best:
-            profile[p] = best
-    return profile
-
-
 def generalized_wgcd(
     coords: Sequence[int | Fraction], weights: WeightSystem | Iterable[int]
 ) -> int:
     """Weighted gcd of a rational tuple through truncated plus-valuations.
 
-    Zero coordinates are treated as divisible by every prime power; on
-    integer tuples this reduces exactly to :func:`wgcd`.
+    Zero coordinates are treated as divisible by every prime power.  For a
+    reduced a/b the plus-valuation max(v_p(a/b), 0) is v_p(a), so this is
+    :func:`wgcd` of the numerators, and on integer tuples it is wgcd itself.
     """
-    ws = as_weight_system(weights)
-    cs = _rational_coords(coords, ws)
-    profile = _plus_profile(cs, ws, ws.weights)
-    return math.prod(p**a for p, a in profile.items())
+    return wgcd(_numerators(coords, weights))
 
 
 def generalized_awgcd(
     coords: Sequence[int | Fraction], weights: WeightSystem | Iterable[int]
 ) -> ExactRoot:
-    """Absolute weighted gcd of a rational tuple, as a weight_gcd-indexed root."""
-    ws = as_weight_system(weights)
-    cs = _rational_coords(coords, ws)
-    profile = _plus_profile(cs, ws, ws.reduced_weights)
-    radicand = math.prod(p**a for p, a in profile.items())
-    return ExactRoot(Fraction(radicand), ws.weight_gcd)
+    """Absolute weighted gcd of a rational tuple, as a weight_gcd-indexed root.
+
+    As for :func:`generalized_wgcd`, this is :func:`awgcd` of the numerators.
+    """
+    return awgcd(_numerators(coords, weights))
 
 
-def _rational_coords(
-    coords: Sequence[int | Fraction], weights: WeightSystem
-) -> tuple[Fraction, ...]:
-    cs = tuple(Fraction(c) for c in coords)
-    if len(cs) != len(weights):
-        raise ValueError(f"{len(cs)} coordinates but {len(weights)} weights")
-    if not any(cs):
-        raise ValueError("all coordinates are zero")
-    return cs
+def _numerators(
+    coords: Sequence[int | Fraction], weights: WeightSystem | Iterable[int]
+) -> WeightedTuple:
+    return WeightedTuple((Fraction(c).numerator for c in coords), weights)

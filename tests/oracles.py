@@ -1,9 +1,11 @@
 """Brute-force reference implementations the library is tested against.
 
 Everything here is deliberately naive: divisor sweeps and box scans whose
-correctness is obvious from the definitions, plus the wgcd/awgcd route that
-factors every coordinate, used as independent oracles for the production
-routes (which factor only gcd(x)).
+correctness is obvious from the definitions, plus the wgcd/awgcd routes that
+factor every coordinate (integer and rational), used as independent oracles
+for the production routes (which factor only gcd(x)), and the enumerator that
+canonicalizes every pullback, the reference for the one that keys classes on
+phi_preimage's output directly.
 """
 
 from __future__ import annotations
@@ -14,12 +16,14 @@ from fractions import Fraction
 
 from wpheights import (
     ExactRoot,
+    ProjectivePoint,
     WeightedPoint,
     WeightedTuple,
     as_weight_system,
     canonical_rep,
     factorize,
     iroot,
+    phi_preimage,
 )
 from wpheights.heights import _floor_power
 
@@ -83,6 +87,39 @@ def awgcd_factoring(x: WeightedTuple) -> ExactRoot:
     return ExactRoot(Fraction(radicand), x.weights.weight_gcd)
 
 
+def _plus_profile(coords, divisors) -> dict[int, int]:
+    """Per-prime min over nonzero coords of floor(max(v_p, 0) / divisors[i])."""
+    support: set[int] = set()
+    factored: list[tuple[dict[int, int], int]] = []
+    for coord, unit in zip(coords, divisors):
+        if coord == 0:
+            continue
+        exponents = factorize(Fraction(coord)).factors
+        factored.append((exponents, unit))
+        support.update(p for p, e in exponents.items() if e > 0)
+    profile: dict[int, int] = {}
+    for p in support:
+        best = min(max(exponents.get(p, 0), 0) // unit for exponents, unit in factored)
+        if best:
+            profile[p] = best
+    return profile
+
+
+def generalized_wgcd_factoring(coords, weights) -> int:
+    """generalized_wgcd from the factorization of every nonzero rational coordinate."""
+    ws = as_weight_system(weights)
+    profile = _plus_profile(coords, ws.weights)
+    return math.prod(p**a for p, a in profile.items())
+
+
+def generalized_awgcd_factoring(coords, weights) -> ExactRoot:
+    """generalized_awgcd from the factorization of every nonzero rational coordinate."""
+    ws = as_weight_system(weights)
+    profile = _plus_profile(coords, ws.reduced_weights)
+    radicand = math.prod(p**a for p, a in profile.items())
+    return ExactRoot(Fraction(radicand), ws.weight_gcd)
+
+
 def weil_height_of_raw(coords, weights) -> int:
     """H(phi(x)) for an integer tuple, with plain integer arithmetic."""
     ws = as_weight_system(weights)
@@ -108,3 +145,31 @@ def bounded_classes_brute(weights, bound: ExactRoot, box: int) -> set[tuple[Frac
             continue
         reps.add(canonical_rep(WeightedPoint(raw, ws)).coords)
     return reps
+
+
+def bounded_points_canonicalizing(weights, bound: ExactRoot) -> list[tuple[WeightedPoint, ExactRoot]]:
+    """bounded_points with every pullback passed through canonical_rep.
+
+    Scans the whole box of Weil height <= floor(B**L), L = lcm(w), filters it
+    to gcd-1, sign-normalized tuples, and keys classes on canonical_rep of
+    each phi preimage of y**(q/L).  The library enumerator generates the
+    normalized tuples directly and relies on phi_preimage already returning
+    the canonical representative; this holds it to both.
+    """
+    ws = as_weight_system(weights)
+    if bound < 1:
+        return []
+    lcm = math.lcm(*ws)
+    power = ws.weight_product // lcm
+    box = _floor_power(bound, lcm)
+    classes: dict[tuple[Fraction, ...], tuple[int, WeightedPoint]] = {}
+    for y in itertools.product(range(-box, box + 1), repeat=len(ws)):
+        if not any(y) or math.gcd(*y) != 1 or next(c for c in y if c != 0) < 0:
+            continue
+        preimage = phi_preimage(ProjectivePoint(c**power for c in y), ws)
+        if preimage is None:
+            continue
+        rep = canonical_rep(preimage)
+        classes[rep.coords] = (max(map(abs, y)), rep)
+    ordered = sorted(classes.values(), key=lambda entry: (entry[0], entry[1].coords))
+    return [(rep, ExactRoot(Fraction(h), lcm)) for h, rep in ordered]

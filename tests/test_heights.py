@@ -1,10 +1,11 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from oracles import bounded_classes_brute, weil_height_of_raw
+from oracles import bounded_classes_brute, bounded_points_canonicalizing, weil_height_of_raw
 from wpheights import (
     ExactRoot,
     ProjectivePoint,
@@ -23,6 +24,7 @@ from wpheights import (
     weighted_height_direct,
     weil_height,
 )
+from wpheights.heights import _projective_grid
 
 
 def test_projective_point_reduces_and_fixes_sign():
@@ -236,3 +238,59 @@ def test_enumeration_heights_are_within_bound():
         assert height <= bound
         assert weighted_height(point) == height
         assert canonical_rep(point) == point
+
+
+def test_phi_preimage_of_phi_is_canonical_rep_seeded():
+    # For a normalized y the preimage is already canonical: least magnitudes
+    # from the CRT residues, signs from y (first nonzero positive).
+    rng = random.Random(2718)
+    primes = (2, 3, 5, 7)
+    for _ in range(2000):
+        length = rng.randint(1, 4)
+        weights = [rng.randint(1, 6) for _ in range(length)]
+        coords = []
+        for _ in range(length):
+            if rng.random() < 0.25:
+                coords.append(Fraction(0))
+                continue
+            numerator = math.prod(p ** rng.randint(0, 2) for p in rng.sample(primes, 2))
+            denominator = math.prod(p ** rng.randint(0, 1) for p in rng.sample(primes, 2))
+            coords.append(Fraction(rng.choice((1, -1)) * numerator, denominator))
+        if not any(coords):
+            coords[rng.randrange(length)] = Fraction(-6, 5)
+        p = WeightedPoint(coords, weights)
+        assert phi_preimage(phi(p), p.weights) == canonical_rep(p)
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 4])
+@pytest.mark.parametrize("box", [0, 1, 2, 3, 4])
+def test_projective_grid_is_the_filtered_box(length, box):
+    grid = list(_projective_grid(length, box))
+    assert len(grid) == len(set(grid))
+    filtered = {
+        raw
+        for raw in itertools.product(range(-box, box + 1), repeat=length)
+        if any(raw) and math.gcd(*raw) == 1 and next(c for c in raw if c != 0) > 0
+    }
+    assert set(grid) == filtered
+
+
+@pytest.mark.parametrize(
+    "weights, bound",
+    [
+        ((1,), ExactRoot(7)),
+        ((1, 1), ExactRoot(5)),
+        ((2, 3), ExactRoot(3, 6)),
+        ((1, 2), ExactRoot(3)),
+        ((2, 4), ExactRoot(7, 4)),
+        ((4, 6), ExactRoot(5, 12)),
+        ((1, 2, 3), ExactRoot(3, 6)),
+        ((2, 2, 4), ExactRoot(3, 4)),
+        ((3, 3, 6), ExactRoot(4, 6)),
+        ((2, 4, 6), ExactRoot(3, 12)),
+        ((6, 10, 15), ExactRoot(3, 30)),
+        ((2, 4, 6, 10), ExactRoot(2, 60)),
+    ],
+)
+def test_enumeration_matches_canonicalizing_reference(weights, bound):
+    assert bounded_points(weights, bound) == bounded_points_canonicalizing(weights, bound)

@@ -4,7 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import awgcd_brute, awgcd_factoring, wgcd_brute, wgcd_factoring
+from oracles import (
+    awgcd_brute,
+    awgcd_factoring,
+    generalized_awgcd_factoring,
+    generalized_wgcd_factoring,
+    wgcd_brute,
+    wgcd_factoring,
+)
 from wpheights import (
     ExactRoot,
     WeightSystem,
@@ -208,3 +215,25 @@ def test_against_brute_force_oracle_seeded():
         t = WeightedTuple(coords, weights)
         assert wgcd(t) == wgcd_brute(coords, weights)
         assert awgcd(t) == awgcd_brute(coords, weights)
+
+
+def test_generalized_matches_factoring_oracle_on_rational_tuples_seeded():
+    # Zeros, signs, and primes that occur only in a denominator: the
+    # plus-valuation ignores those, so the numerators decide.
+    rng = random.Random(5150)
+    primes = (2, 3, 5, 7, 11)
+    for _ in range(2000):
+        length = rng.randint(1, 4)
+        weights = [rng.randint(1, 6) for _ in range(length)]
+        coords = []
+        for _ in range(length):
+            if rng.random() < 0.2:
+                coords.append(Fraction(0))
+                continue
+            numerator = math.prod(p ** rng.randint(0, 7) for p in primes[:3])
+            denominator = math.prod(p ** rng.randint(0, 3) for p in rng.sample(primes, 2))
+            coords.append(Fraction(rng.choice((1, -1)) * numerator, denominator))
+        if not any(coords):
+            coords[0] = Fraction(64, 11)
+        assert generalized_wgcd(coords, weights) == generalized_wgcd_factoring(coords, weights)
+        assert generalized_awgcd(coords, weights) == generalized_awgcd_factoring(coords, weights)
