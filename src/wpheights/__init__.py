@@ -13,25 +13,16 @@ from .factorization import (
     FactorConfig,
     Factorization,
     IncompleteFactorizationError,
-    default_config,
+    factor_config,
     factorize,
     iroot,
     is_prime,
     nth_root_rational,
     plus_valuation,
     primes_up_to,
-    set_default_config,
     valuation,
 )
-from .radicals import (
-    ONE,
-    ExactRoot,
-    exact_root,
-    exact_root_compare,
-    exact_root_mul,
-    exact_root_pow,
-    log_value,
-)
+from .radicals import ONE, ExactRoot
 from .wgcd import (
     WeightSystem,
     WeightedTuple,
@@ -95,13 +86,9 @@ __all__ = [
     "canonical_rep",
     "clear_denominators",
     "counting_function",
-    "default_config",
     "enumerate_bounded",
     "equivalent",
-    "exact_root",
-    "exact_root_compare",
-    "exact_root_mul",
-    "exact_root_pow",
+    "factor_config",
     "factorize",
     "generalized_awgcd",
     "generalized_wgcd",
@@ -109,7 +96,6 @@ __all__ = [
     "is_prime",
     "is_well_formed",
     "kronecker_check",
-    "log_value",
     "log_weighted_height",
     "naive_size",
     "normalize",
@@ -120,7 +106,6 @@ __all__ = [
     "primes_up_to",
     "replay_well_forming",
     "scale",
-    "set_default_config",
     "valuation",
     "weighted_height",
     "weighted_height_direct",

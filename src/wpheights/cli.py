@@ -10,20 +10,14 @@ message prefix per failure category), 2 on a usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import re
 import sys
 from fractions import Fraction
 
-from .factorization import FactorConfig, IncompleteFactorizationError, set_default_config
-from .radicals import ExactRoot, log_value
-from .wgcd import (
-    WeightSystem,
-    WeightedTuple,
-    awgcd,
-    generalized_awgcd,
-    generalized_wgcd,
-    wgcd,
-)
+from .factorization import FactorConfig, IncompleteFactorizationError, factor_config
+from .radicals import ExactRoot
+from .wgcd import WeightSystem, generalized_awgcd, generalized_wgcd
 from .projective import (
     WeightedPoint,
     canonical_rep,
@@ -37,10 +31,10 @@ from .heights import (
     bounded_points,
     counting_function,
     kronecker_check,
+    log_weighted_height,
     phi,
     phi_preimage,
     weighted_height,
-    weighted_height_direct,
 )
 
 
@@ -92,7 +86,9 @@ def _parse_bound(text: str) -> ExactRoot:
     return ExactRoot(value)
 
 
-def _weighted_point(coords: tuple[Fraction, ...], weights: WeightSystem) -> WeightedPoint:
+def _weighted_point(text: str, weights: WeightSystem) -> WeightedPoint:
+    """Parse a coordinate tuple, one per weight and not all zero."""
+    coords = _parse_tuple(text)
     if len(coords) != len(weights):
         raise CommandError(
             "length error", f"{len(coords)} coordinates but {len(weights)} weights"
@@ -100,18 +96,6 @@ def _weighted_point(coords: tuple[Fraction, ...], weights: WeightSystem) -> Weig
     if not any(coords):
         raise CommandError("domain error", "all coordinates are zero")
     return WeightedPoint(coords, weights)
-
-
-def _integral_tuple(coords: tuple[Fraction, ...], weights: WeightSystem) -> WeightedTuple:
-    if any(c.denominator != 1 for c in coords):
-        raise CommandError("domain error", "this command needs integer coordinates")
-    if len(coords) != len(weights):
-        raise CommandError(
-            "length error", f"{len(coords)} coordinates but {len(weights)} weights"
-        )
-    if not any(coords):
-        raise CommandError("domain error", "all coordinates are zero")
-    return WeightedTuple((c.numerator for c in coords), weights)
 
 
 def _fmt_point(coords) -> str:
@@ -127,25 +111,19 @@ def _emit(args, text_value: str, records: list[str]) -> None:
 
 
 def _cmd_wgcd(args) -> None:
-    coords = _parse_tuple(args.coords)
-    if all(c.denominator == 1 for c in coords):
-        value = wgcd(_integral_tuple(coords, args.weights))
-    else:
-        value = generalized_wgcd(coords, args.weights)
+    point = _weighted_point(args.coords, args.weights)
+    value = generalized_wgcd(point.coords, point.weights)
     _emit(args, str(value), [f"wgcd={value}"])
 
 
 def _cmd_awgcd(args) -> None:
-    coords = _parse_tuple(args.coords)
-    if all(c.denominator == 1 for c in coords):
-        value = awgcd(_integral_tuple(coords, args.weights))
-    else:
-        value = generalized_awgcd(coords, args.weights)
+    point = _weighted_point(args.coords, args.weights)
+    value = generalized_awgcd(point.coords, point.weights)
     _emit(args, str(value), [f"awgcd={value}"])
 
 
 def _cmd_normalize(args) -> None:
-    point = _weighted_point(_parse_tuple(args.coords), args.weights)
+    point = _weighted_point(args.coords, args.weights)
     if not point.is_integral:
         raise CommandError("domain error", "normalize needs integer coordinates")
     reduced = normalize(point)
@@ -153,14 +131,14 @@ def _cmd_normalize(args) -> None:
 
 
 def _cmd_canon(args) -> None:
-    point = _weighted_point(_parse_tuple(args.coords), args.weights)
+    point = _weighted_point(args.coords, args.weights)
     rep = canonical_rep(point)
     _emit(args, _fmt_point(rep.coords), [f"point={_fmt_point(rep.coords)}"])
 
 
 def _cmd_equiv(args) -> None:
-    first = _weighted_point(_parse_tuple(args.coords), args.weights)
-    second = _weighted_point(_parse_tuple(args.other), args.weights)
+    first = _weighted_point(args.coords, args.weights)
+    second = _weighted_point(args.other, args.weights)
     witness = equivalent(first, second)
     if witness is None:
         _emit(args, "not equivalent", ["equivalent=false"])
@@ -169,38 +147,31 @@ def _cmd_equiv(args) -> None:
 
 
 def _cmd_size(args) -> None:
-    point = _weighted_point(_parse_tuple(args.coords), args.weights)
+    point = _weighted_point(args.coords, args.weights)
     value = naive_size(point)
     _emit(args, str(value), [f"size={value}"])
 
 
 def _cmd_height(args) -> None:
-    point = _weighted_point(_parse_tuple(args.coords), args.weights)
-    value = weighted_height_direct(point) if args.direct else weighted_height(point)
+    point = _weighted_point(args.coords, args.weights)
+    value = weighted_height(point)
     _emit(args, str(value), [f"height={value}"])
 
 
 def _cmd_logheight(args) -> None:
-    point = _weighted_point(_parse_tuple(args.coords), args.weights)
-    value = log_value(weighted_height(point))
+    point = _weighted_point(args.coords, args.weights)
+    value = log_weighted_height(point)
     _emit(args, f"{value:.15g}", [f"logheight={value:.15g}"])
 
 
 def _cmd_phi(args) -> None:
-    point = _weighted_point(_parse_tuple(args.coords), args.weights)
+    point = _weighted_point(args.coords, args.weights)
     image = phi(point)
     _emit(args, _fmt_point(image.coords), [f"point={_fmt_point(image.coords)}"])
 
 
 def _cmd_preimage(args) -> None:
-    coords = _parse_tuple(args.coords)
-    if len(coords) != len(args.weights):
-        raise CommandError(
-            "length error", f"{len(coords)} coordinates but {len(args.weights)} weights"
-        )
-    if not any(coords):
-        raise CommandError("domain error", "all coordinates are zero")
-    target = ProjectivePoint(coords)
+    target = ProjectivePoint(_weighted_point(args.coords, args.weights).coords)
     point = phi_preimage(target, args.weights)
     if point is None:
         _emit(args, "none", ["found=false"])
@@ -239,7 +210,7 @@ def _cmd_wellform(args) -> None:
 
 
 def _cmd_kronecker(args) -> None:
-    point = _weighted_point(_parse_tuple(args.coords), args.weights)
+    point = _weighted_point(args.coords, args.weights)
     result = kronecker_check(point)
     height_one = "true" if result.height_is_one else "false"
     condition = "true" if result.ratio_condition else "false"
@@ -273,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument("-B", "--bound", required=True, type=str,
                              metavar="B", help="rational or root(m,k)")
         sub.set_defaults(handler=handler)
-        return sub
 
     add("wgcd", _cmd_wgcd, "weighted gcd of a tuple")
     add("awgcd", _cmd_awgcd, "absolute weighted gcd of a tuple")
@@ -281,8 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("canon", _cmd_canon, "canonical representative of a point")
     add("equiv", _cmd_equiv, "decide equivalence of two points", coords=2)
     add("size", _cmd_size, "naive size of a point")
-    height_cmd = add("height", _cmd_height, "weighted height of a point")
-    height_cmd.add_argument("--direct", action="store_true", help=argparse.SUPPRESS)
+    add("height", _cmd_height, "weighted height of a point")
     add("logheight", _cmd_logheight, "logarithmic weighted height")
     add("phi", _cmd_phi, "powered image in ordinary projective space")
     add("preimage", _cmd_preimage, "preimage of a projective point under the powering map")
@@ -300,18 +269,22 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.factor_bound is not None and args.factor_bound < 2:
         parser.error(f"argument --factor-bound: must be at least 2, got {args.factor_bound}")
+    # The flags set the factoring effort of this call only; without them the
+    # caller's effort stays in force.
+    effort = contextlib.nullcontext()
+    if args.factor_bound is not None or args.seed is not None:
+        effort = factor_config(
+            FactorConfig(
+                trial_bound=args.factor_bound or FactorConfig.trial_bound,
+                seed=args.seed or 0,
+            )
+        )
     try:
         args.weights = _parse_weights(args.weights)
-        if args.factor_bound is not None or args.seed is not None:
-            set_default_config(
-                FactorConfig(
-                    trial_bound=args.factor_bound or FactorConfig.trial_bound,
-                    seed=args.seed or 0,
-                )
-            )
-        if getattr(args, "bound", None) is not None:
-            args.bound = _parse_bound(args.bound)
-        args.handler(args)
+        with effort:
+            if getattr(args, "bound", None) is not None:
+                args.bound = _parse_bound(args.bound)
+            args.handler(args)
     except CommandError as exc:
         print(exc, file=sys.stderr)
         return 1

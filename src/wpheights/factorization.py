@@ -15,8 +15,12 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterator
 
 
 class IncompleteFactorizationError(RuntimeError):
@@ -48,17 +52,22 @@ class FactorConfig:
     seed: int = 0
 
 
-_default_config = FactorConfig()
+_effort: ContextVar[FactorConfig] = ContextVar("factor_config", default=FactorConfig())
 
 
-def default_config() -> FactorConfig:
-    return _default_config
+@contextmanager
+def factor_config(config: FactorConfig) -> Iterator[None]:
+    """Run the block with config as the factoring effort of this context.
 
-
-def set_default_config(config: FactorConfig) -> None:
-    """Install a process-wide default effort configuration."""
-    global _default_config
-    _default_config = config
+    Every factoring step inside the block that is not given a config reads
+    this one; the enclosing effort comes back when the block exits, also on
+    an exception.  Threads and asyncio tasks each see their own context.
+    """
+    token = _effort.set(config)
+    try:
+        yield
+    finally:
+        _effort.reset(token)
 
 
 def _sieve(limit: int) -> list[int]:
@@ -72,23 +81,23 @@ def _sieve(limit: int) -> list[int]:
     return [i for i, f in enumerate(flags) if f]
 
 
-_prime_cache: list[int] = _sieve(_BASE_TRIAL_LIMIT)
-_prime_cache_limit = _BASE_TRIAL_LIMIT
+# Every prime up to _BASE_TRIAL_LIMIT, fixed at import; longer sweeps sieve
+# afresh, so no call changes what a later one costs.
+_SMALL_PRIMES = tuple(_sieve(_BASE_TRIAL_LIMIT))
+
+
+def _small_primes(limit: int) -> tuple[int, ...]:
+    """The primes <= min(limit, _BASE_TRIAL_LIMIT), cut from the fixed table."""
+    if limit >= _BASE_TRIAL_LIMIT:
+        return _SMALL_PRIMES  # the default effort's case: no search, no copy
+    return _SMALL_PRIMES[: bisect_right(_SMALL_PRIMES, limit)]
 
 
 def primes_up_to(limit: int) -> list[int]:
-    """Ascending primes <= limit (cached, grow-only)."""
-    global _prime_cache, _prime_cache_limit
-    if limit > _prime_cache_limit:
-        _prime_cache = _sieve(limit)
-        _prime_cache_limit = limit
-    if limit == _prime_cache_limit:
-        return _prime_cache
-    cut = 0
-    for cut, p in enumerate(_prime_cache):
-        if p > limit:
-            return _prime_cache[:cut]
-    return list(_prime_cache)
+    """Ascending primes <= limit."""
+    if limit <= _BASE_TRIAL_LIMIT:
+        return list(_small_primes(limit))
+    return _sieve(limit)
 
 
 def _is_strong_probable_prime(n: int, base: int) -> bool:
@@ -117,16 +126,18 @@ def is_prime(n: int) -> bool:
     """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_PROVEN_BASES:
         if n % p == 0:
             return n == p
     if n < 41 * 41:
         return True
+    if not all(_is_strong_probable_prime(n, a) for a in _MR_PROVEN_BASES):
+        return False
     if n < _MR_PROVEN_LIMIT:
-        bases: tuple[int, ...] | list[int] = _MR_PROVEN_BASES
-    else:
-        bases = primes_up_to(int(2 * math.log(n) ** 2) + 1)
-    return all(_is_strong_probable_prime(n, a) for a in bases)
+        return True
+    # Only a survivor of the fixed bases pays for the rest of Bach's sweep.
+    bases = primes_up_to(int(2 * math.log(n) ** 2) + 1)
+    return all(_is_strong_probable_prime(n, a) for a in bases[len(_MR_PROVEN_BASES) :])
 
 
 def _pollard_rho(n: int, config: FactorConfig) -> int | None:
@@ -188,7 +199,7 @@ def _factor_positive(n: int, config: FactorConfig) -> dict[int, int]:
     if n == 1:
         return factors
     sweep_limit = min(config.trial_bound, _BASE_TRIAL_LIMIT)
-    for p in primes_up_to(sweep_limit):
+    for p in _small_primes(sweep_limit):
         if p * p > n:
             break
         if n % p == 0:
@@ -214,9 +225,11 @@ def _factor_positive(n: int, config: FactorConfig) -> dict[int, int]:
         pending.append(d)
         pending.append(m // d)
 
+    # Last resort: the full trial sweep up to the configured bound, sieved
+    # per call; no cofactor needs primes above the largest one's square root.
+    sweep = primes_up_to(min(config.trial_bound, math.isqrt(max(stubborn, default=0))))
     for m in stubborn:
-        # Last resort: the full trial sweep up to the configured bound.
-        for p in primes_up_to(config.trial_bound):
+        for p in sweep:
             if p * p > m:
                 break
             if m % p == 0:
@@ -278,11 +291,12 @@ class Factorization:
 def factorize(value: int | Fraction, config: FactorConfig | None = None) -> Factorization:
     """Exact prime decomposition of a nonzero integer or rational.
 
+    config defaults to the effort in scope (see :func:`factor_config`).
     Raises ValueError on zero and IncompleteFactorizationError when a
     cofactor resists the configured effort.
     """
     if config is None:
-        config = _default_config
+        config = _effort.get()
     value = Fraction(value)
     if value == 0:
         raise ValueError("cannot factor zero")

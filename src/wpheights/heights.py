@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .factorization import _factor_positive, default_config, factorize, iroot, nth_root_rational
+from .factorization import _effort, _factor_positive, factorize, iroot, nth_root_rational
 from .radicals import ONE, ExactRoot
 from .projective import WeightedPoint, clear_denominators
 from .wgcd import WeightSystem, as_weight_system
@@ -198,7 +198,7 @@ def phi_preimage(y: ProjectivePoint, weights: WeightSystem | Iterable[int]) -> W
     powering = [product // q for q in ws]
     nonzero = [(i, c) for i, c in enumerate(y.coords) if c != 0]
 
-    config = default_config()
+    config = _effort.get()
     profiles = [(_factor_positive(abs(c), config), powering[i]) for i, c in nonzero]
     support = {ell for profile, _ in profiles for ell in profile}
     magnitude = 1

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .factorization import factorize, valuation
+from .factorization import factorize, nth_root_rational, valuation
 from .radicals import ExactRoot
 from .wgcd import WeightSystem, WeightedTuple, as_weight_system, awgcd, wgcd
 
@@ -78,7 +78,7 @@ def clear_denominators(p: WeightedPoint) -> WeightedPoint:
     primes: set[int] = set()
     for c in p.coords:
         if c != 0 and c.denominator > 1:
-            primes.update(_prime_support(c.denominator))
+            primes.update(factorize(c.denominator).factors)
     for ell in primes:
         needed = 0
         for c, q in zip(p.coords, p.weights):
@@ -89,10 +89,6 @@ def clear_denominators(p: WeightedPoint) -> WeightedPoint:
                 needed = max(needed, -(-deficit // q))
         scale_factor *= ell**needed
     return scale(p, scale_factor)
-
-
-def _prime_support(n: int) -> set[int]:
-    return set(factorize(n).factors)
 
 
 def normalize(p: WeightedPoint) -> WeightedPoint:
@@ -110,43 +106,63 @@ def absolutely_normalize(p: WeightedPoint) -> WeightedPoint:
     """Divide an integral point by awgcd**q_i per coordinate; result has awgcd 1."""
     if not p.is_integral:
         raise ValueError("normalize needs integer coordinates; clear denominators first")
-    root = awgcd(p.as_weighted_tuple())
+    return _divide_out(p, p.as_weighted_tuple())
+
+
+def _divide_out(p: WeightedPoint, live: WeightedTuple) -> WeightedPoint:
+    """Divide coordinate i of p by awgcd(live)**q_i; zero coordinates stay zero."""
+    root = awgcd(live)
     if root.radicand == 1:
         return p
-    # awgcd = m**(1/k) with k dividing every weight, so each divisor is integral.
+    # awgcd(live) = m**(1/k) with k dividing every weight of live, so each
+    # coordinate of live is divided by an integer; a zero coordinate stays
+    # zero whatever q // k is.
     coords = tuple(
         c / root.radicand ** (q // root.index) for c, q in zip(p.coords, p.weights)
     )
     return WeightedPoint(coords, p.weights)
 
 
+def _bezout(values: list[int]) -> list[int]:
+    """Integers c_i with sum(c_i * values[i]) == gcd(values), for positive values."""
+    g, coefficients = values[0], [1]
+    for v in values[1:]:
+        # Extended Euclid on (g, v): x * g + y * v == gcd(g, v).
+        a, b, x, x_next, y, y_next = g, v, 1, 0, 0, 1
+        while b:
+            k = a // b
+            a, b = b, a - k * b
+            x, x_next = x_next, x - k * x_next
+            y, y_next = y_next, y - k * y_next
+        g = a
+        coefficients = [c * x for c in coefficients] + [y]
+    return coefficients
+
+
 def equivalent(p: WeightedPoint, r: WeightedPoint) -> Fraction | None:
     """Rational witness lam with scale(p, lam) == r, or None.
 
-    Zero patterns must match; per prime the valuation of the coordinate
-    ratio must be the same multiple of the corresponding weight, and both
-    signs of the candidate are tried.
+    Zero patterns must match.  On the support each ratio r_i / p_i must be
+    lam**q_i, so with Bezout coefficients c_i for the weights there, whose
+    gcd is g, the product of ratio_i**c_i is lam**g.  Its exact rational
+    g-th root fixes |lam|; +|lam| and then -|lam| are checked against r.
+    Nothing is factored.
     """
     if p.weights != r.weights:
         raise ValueError(f"weight systems differ: {p.weights} vs {r.weights}")
     if any((a == 0) != (b == 0) for a, b in zip(p.coords, r.coords)):
         return None
-    ratios = [
-        (b / a, q) for a, b, q in zip(p.coords, r.coords, p.weights) if a != 0
-    ]
-    magnitude = Fraction(1)
-    exponents: dict[int, int] = {}
-    for ratio, q in ratios:
-        for ell, e in factorize(ratio).factors.items():
-            if e % q != 0:
-                return None
-            t = e // q
-            if exponents.setdefault(ell, t) != t:
-                return None
-    for ell, t in exponents.items():
-        magnitude *= Fraction(ell) ** t
+    support = [(b / a, q) for a, b, q in zip(p.coords, r.coords, p.weights) if a != 0]
+    weights = [q for _, q in support]
+    power = Fraction(1)
+    for (ratio, _), c in zip(support, _bezout(weights)):
+        power *= ratio**c
+    magnitude = nth_root_rational(abs(power), math.gcd(*weights))
+    if magnitude is None:
+        return None
     for lam in (magnitude, -magnitude):
-        if scale(p, lam).coords == r.coords:
+        # scale(p, lam).coords == r.coords, without building the point.
+        if all(a * lam**q == b for a, b, q in zip(p.coords, r.coords, p.weights)):
             return lam
     return None
 
@@ -160,14 +176,7 @@ def _reduce_magnitudes(p: WeightedPoint) -> WeightedPoint:
     smallest ones among tuples sharing the powered projective image.
     """
     live = [(c, q) for c, q in zip(p.coords, p.weights) if c != 0]
-    root = awgcd(WeightedTuple((c.numerator for c, _ in live), (q for _, q in live)))
-    if root.radicand == 1:
-        return p
-    coords = tuple(
-        c / root.radicand ** (q // root.index) if c != 0 else c
-        for c, q in zip(p.coords, p.weights)
-    )
-    return WeightedPoint(coords, p.weights)
+    return _divide_out(p, WeightedTuple((c.numerator for c, _ in live), (q for _, q in live)))
 
 
 def canonical_rep(p: WeightedPoint) -> WeightedPoint:
@@ -229,7 +238,7 @@ def is_well_formed(weights: WeightSystem | Iterable[int]) -> bool:
 class WellFormingStep:
     """One truncation: divide the weights by divisor, except a kept pivot.
 
-    pivot None means the global step (every weight divided).
+    pivot None means the all-weights step (every weight divided).
     """
 
     divisor: int
@@ -245,8 +254,9 @@ class WellFormingResult:
 def well_form(weights: WeightSystem | Iterable[int]) -> WellFormingResult:
     """Reduce a weight system to a well-formed one, recording each truncation.
 
-    The global common-divisor step runs first, then pivot steps in increasing
-    pivot order; the weight product strictly decreases, so this terminates.
+    The all-weights common-divisor step runs first, then pivot steps in
+    increasing pivot order; the weight product strictly decreases, so this
+    terminates.
     """
     ws = list(as_weight_system(weights).weights)
     steps: list[WellFormingStep] = []
@@ -286,9 +296,9 @@ def replay_well_forming(
 def apply_well_forming(p: WeightedPoint, result: WellFormingResult) -> WeightedPoint:
     """Carry a point along the well-forming truncations.
 
-    The global step leaves coordinates alone; a pivot step raises the pivot
-    coordinate to the divisor-th power.  Heights before and after are not
-    asserted equal anywhere.
+    The all-weights step leaves coordinates alone; a pivot step raises the
+    pivot coordinate to the divisor-th power.  Heights before and after are
+    not asserted equal anywhere.
     """
     coords = list(p.coords)
     ws = list(p.weights.weights)

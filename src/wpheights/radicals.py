@@ -10,6 +10,7 @@ products, and powers stay bit-exact via big-integer cross-raising.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -67,14 +68,6 @@ class ExactRoot:
         object.__setattr__(root, "index", index)
         return root
 
-    def is_rational(self) -> bool:
-        return self.index == 1
-
-    def as_fraction(self) -> Fraction:
-        if self.index != 1:
-            raise ValueError(f"{self} is irrational")
-        return self.radicand
-
     def _compare(self, other: "ExactRoot") -> int:
         common = math.lcm(self.index, other.index)
         left = self.radicand ** (common // self.index)
@@ -98,29 +91,24 @@ class ExactRoot:
     def __hash__(self) -> int:
         return hash((self.radicand, self.index))
 
-    def __lt__(self, other: "ExactRoot | int | Fraction") -> bool:
+    def _ordered(self, other: "ExactRoot | int | Fraction", holds) -> bool:
+        """holds(sign, 0) for the sign of self - other, as _compare gives it."""
         coerced = self._coerce(other)
         if coerced is None:
             return NotImplemented
-        return self._compare(coerced) < 0
+        return holds(self._compare(coerced), 0)
+
+    def __lt__(self, other: "ExactRoot | int | Fraction") -> bool:
+        return self._ordered(other, operator.lt)
 
     def __le__(self, other: "ExactRoot | int | Fraction") -> bool:
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return self._compare(coerced) <= 0
+        return self._ordered(other, operator.le)
 
     def __gt__(self, other: "ExactRoot | int | Fraction") -> bool:
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return self._compare(coerced) > 0
+        return self._ordered(other, operator.gt)
 
     def __ge__(self, other: "ExactRoot | int | Fraction") -> bool:
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return self._compare(coerced) >= 0
+        return self._ordered(other, operator.ge)
 
     def __mul__(self, other: "ExactRoot | int | Fraction") -> "ExactRoot":
         coerced = self._coerce(other)
@@ -155,9 +143,6 @@ class ExactRoot:
             math.log(self.radicand.numerator) - math.log(self.radicand.denominator)
         ) / self.index
 
-    def __float__(self) -> float:
-        return math.exp(self.log())
-
     def __str__(self) -> str:
         if self.index == 1:
             return str(self.radicand)
@@ -165,31 +150,3 @@ class ExactRoot:
 
 
 ONE = ExactRoot(Fraction(1))
-
-
-def exact_root(radicand: int | Fraction, index: int = 1) -> ExactRoot:
-    """Canonical exact value radicand**(1/index); idempotent."""
-    return ExactRoot(Fraction(radicand), index)
-
-
-def exact_root_compare(a: ExactRoot, b: ExactRoot) -> int:
-    """-1, 0, or +1 as the real value of a is <, ==, > that of b."""
-    return a._compare(b)
-
-
-def exact_root_mul(a: ExactRoot, b: ExactRoot) -> ExactRoot:
-    return a * b
-
-
-def exact_root_pow(a: ExactRoot, exponent: int | Fraction) -> ExactRoot:
-    return a**exponent
-
-
-def log_value(value: ExactRoot | int | Fraction) -> float:
-    """Natural log of an exact root, integer, or rational."""
-    if isinstance(value, ExactRoot):
-        return value.log()
-    value = Fraction(value)
-    if value <= 0:
-        raise ValueError(f"log of nonpositive value {value}")
-    return math.log(value.numerator) - math.log(value.denominator)

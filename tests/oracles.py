@@ -3,7 +3,9 @@
 Everything here is deliberately naive: divisor sweeps and box scans whose
 correctness is obvious from the definitions, plus the wgcd/awgcd routes that
 factor every coordinate (integer and rational), used as independent oracles
-for the production routes (which factor only gcd(x)), and the enumerator that
+for the production routes (which factor only gcd(x)), the equivalence test
+that factors every coordinate ratio (the library combines the ratios by
+Bezout and takes one exact root instead), and the enumerator that
 canonicalizes every pullback, the reference for the one that keys classes on
 phi_preimage's output directly.
 """
@@ -24,6 +26,7 @@ from wpheights import (
     factorize,
     iroot,
     phi_preimage,
+    scale,
 )
 from wpheights.heights import _floor_power
 
@@ -118,6 +121,33 @@ def generalized_awgcd_factoring(coords, weights) -> ExactRoot:
     profile = _plus_profile(coords, ws.reduced_weights)
     radicand = math.prod(p**a for p, a in profile.items())
     return ExactRoot(Fraction(radicand), ws.weight_gcd)
+
+
+def equivalent_factoring(p: WeightedPoint, r: WeightedPoint) -> Fraction | None:
+    """equivalent from the factorization of every coordinate ratio.
+
+    Per prime the valuation of each ratio must be the same multiple of the
+    corresponding weight; that multiple is the valuation of the witness,
+    whose two signs are then tried.
+    """
+    if p.weights != r.weights:
+        raise ValueError(f"weight systems differ: {p.weights} vs {r.weights}")
+    if any((a == 0) != (b == 0) for a, b in zip(p.coords, r.coords)):
+        return None
+    exponents: dict[int, int] = {}
+    for a, b, q in zip(p.coords, r.coords, p.weights):
+        if a == 0:
+            continue
+        for ell, e in factorize(b / a).factors.items():
+            if e % q != 0:
+                return None
+            if exponents.setdefault(ell, e // q) != e // q:
+                return None
+    magnitude = math.prod((Fraction(ell) ** t for ell, t in exponents.items()), start=Fraction(1))
+    for lam in (magnitude, -magnitude):
+        if scale(p, lam).coords == r.coords:
+            return lam
+    return None
 
 
 def weil_height_of_raw(coords, weights) -> int:

@@ -2,7 +2,9 @@ from pathlib import Path
 
 import pytest
 
+from wpheights import FactorConfig, factor_config
 from wpheights.cli import main
+from wpheights.factorization import _effort
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -94,13 +96,6 @@ def test_kronecker(capsys):
     assert out == "height_one=false\nratio_condition=false\n"
 
 
-def test_height_direct_flag_agrees(capsys):
-    for coords, weights in [("15,175", "2,4"), ("7,0,0", "2,3,5"), ("1/2,1/8", "2,3")]:
-        _, plain, _ = run(capsys, "height", "-w", weights, coords)
-        _, direct, _ = run(capsys, "height", "-w", weights, coords, "--direct")
-        assert plain == direct
-
-
 def test_error_categories(capsys):
     status, _, err = run(capsys, "wgcd", "-w", "3,2", "0,0")
     assert status == 1 and err.startswith("domain error:")
@@ -117,15 +112,15 @@ def test_error_categories(capsys):
 def test_factoring_effort_error(capsys):
     # Starve every stage so the 101 * 103 cofactor survives; the CLI must
     # report it rather than guess.
-    from wpheights import FactorConfig, default_config, set_default_config
-
-    keep = default_config()
-    try:
-        set_default_config(FactorConfig(trial_bound=10, rho_iterations=2, rho_attempts=0))
+    with factor_config(FactorConfig(trial_bound=10, rho_iterations=2, rho_attempts=0)):
         status, _, err = run(capsys, "wgcd", "-w", "1,1", "10403,10403")
-    finally:
-        set_default_config(keep)
     assert status == 1 and err.startswith("factoring error:")
+
+
+def test_factor_bound_does_not_outlive_the_call(capsys):
+    status, out, _ = run(capsys, "wgcd", "-w", "1,1", "--factor-bound", "2", "6,6")
+    assert status == 0 and out == "6\n"
+    assert _effort.get() == FactorConfig()
 
 
 def test_usage_error_exits_two():

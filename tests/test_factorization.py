@@ -76,6 +76,14 @@ def test_incomplete_factorization_is_an_error_not_a_wrong_answer():
         factorize(1_000_003 * 1_000_033, starved)
 
 
+def test_trial_sweep_finishes_what_rho_leaves():
+    # With rho off every composite cofactor is stubborn; the sweep past the
+    # fixed 4096 table, up to trial_bound, must still split it.
+    no_rho = FactorConfig(rho_attempts=0)
+    assert factorize(10007 * 10009, no_rho).factors == {10007: 1, 10009: 1}
+    assert factorize(4099 * 10007 * 999983, no_rho).factors == {4099: 1, 10007: 1, 999983: 1}
+
+
 def test_factorize_deterministic_across_calls():
     n = 10**15 + 37
     assert factorize(n) == factorize(n)
@@ -136,6 +144,32 @@ def test_is_prime_small_and_boundary():
     assert not is_prime(2**67 - 1)
     # Strong pseudoprime to several bases, composite.
     assert not is_prime(3215031751)
+
+
+def test_large_primality_tests_leave_module_state_alone():
+    # Above ~3.3e24 is_prime sweeps every prime base up to 2 ln(n)**2 (about
+    # 66,000 here); the sweep must not be kept, or every later call that
+    # cuts the small-prime table pays for its size.
+    import wpheights.factorization as module
+
+    def snapshot():
+        return {
+            name: (value, len(value) if hasattr(value, "__len__") else None)
+            for name, value in vars(module).items()
+        }
+
+    before = snapshot()
+    assert is_prime(10**79 + 49)
+    # 1000000000000000000000000000000000000003 * 30000000000000000000000000000000000000011
+    assert not is_prime(
+        30000000000000000000000000000000000000101000000000000000000000000000000000000033
+    )
+    after = snapshot()
+    assert after.keys() == before.keys()
+    for name, (value, size) in before.items():
+        assert after[name][0] is value and after[name][1] == size, name
+    for n in (1, 2, 4096, 4097, 70000):
+        assert primes_up_to(n) == module._sieve(n)
 
 
 def test_iroot():

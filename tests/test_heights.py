@@ -79,6 +79,16 @@ def test_weighted_height_accepts_rational_coordinates():
     assert weighted_height(p) == weighted_height_direct(p) == ExactRoot(2, 2)
 
 
+def test_height_routes_agree_on_cli_examples():
+    for coords, weights in [
+        ((15, 175), (2, 4)),
+        ((7, 0, 0), (2, 3, 5)),
+        ((Fraction(1, 2), Fraction(1, 8)), (2, 3)),
+    ]:
+        p = WeightedPoint(coords, weights)
+        assert weighted_height(p) == weighted_height_direct(p)
+
+
 def test_log_weighted_height():
     assert log_weighted_height(WeightedPoint((1, 1), (2, 3))) == 0.0
     assert math.isclose(

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import equivalent_factoring
 from wpheights import (
     ExactRoot,
+    FactorConfig,
     WeightSystem,
     WeightedPoint,
     WeightedTuple,
@@ -15,6 +17,7 @@ from wpheights import (
     canonical_rep,
     clear_denominators,
     equivalent,
+    factor_config,
     is_well_formed,
     naive_size,
     normalize,
@@ -120,6 +123,42 @@ def test_equivalent_round_trip_seeded():
         witness = equivalent(p, scaled)
         assert witness is not None
         assert scale(p, witness).coords == scaled.coords
+
+
+def test_equivalent_matches_factoring_oracle_seeded():
+    # Half the targets are scalings of p; the rest perturb one coordinate of
+    # a scaling, or flip its sign, so most of those have no witness.
+    rng = random.Random(2024)
+    found = 0
+    for _ in range(2500):
+        length = rng.randint(1, 4)
+        weights = [rng.randint(1, 8) for _ in range(length)]
+        coords = [0 if rng.random() < 0.15 else rng.randint(-60, 60) for _ in range(length)]
+        if not any(coords):
+            coords[0] = rng.choice((1, -1)) * rng.randint(1, 60)
+        p = WeightedPoint(coords, weights)
+        lam = Fraction(rng.choice((1, -1)) * rng.randint(1, 12), rng.randint(1, 12))
+        target = list(scale(p, lam).coords)
+        if rng.random() < 0.5:
+            i = rng.randrange(length)
+            if target[i] != 0 and rng.random() < 0.3:
+                target[i] = -target[i]
+            else:
+                target[i] = target[i] * rng.choice((2, 3, 4, 8, 9, Fraction(1, 4))) or 1
+        r = WeightedPoint(target, weights)
+        witness = equivalent(p, r)
+        assert witness == equivalent_factoring(p, r)
+        if witness is not None:
+            found += 1
+            assert scale(p, witness).coords == r.coords
+    assert 1000 < found < 2400
+
+
+def test_equivalent_needs_no_factoring():
+    # 10403 = 101 * 103 resists this effort, and equivalent must not care.
+    starved = FactorConfig(trial_bound=10, rho_iterations=2, rho_attempts=0)
+    with factor_config(starved):
+        assert equivalent(WeightedPoint((10403, 1), (1, 1)), WeightedPoint((1, 1), (1, 1))) is None
 
 
 def test_canonical_rep_sign_classes_all_even_powering():

@@ -6,21 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wpheights import (
-    ExactRoot,
-    exact_root,
-    exact_root_compare,
-    exact_root_mul,
-    exact_root_pow,
-    log_value,
-)
+from wpheights import ExactRoot
 
 
 def test_canonicalization_examples():
-    assert exact_root(8, 6) == ExactRoot(2, 2)
-    assert exact_root(4000, 2) == ExactRoot(4000, 2)
-    assert exact_root(1, 5) == ExactRoot(1, 1)
-    assert exact_root(Fraction(1, 4), 4) == ExactRoot(Fraction(1, 2), 2)
+    assert ExactRoot(8, 6) == ExactRoot(2, 2)
+    root = ExactRoot(4000, 2)
+    assert (root.radicand, root.index) == (Fraction(4000), 2)
+    assert ExactRoot(1, 5) == ExactRoot(1, 1)
+    assert ExactRoot(Fraction(1, 4), 4) == ExactRoot(Fraction(1, 2), 2)
 
 
 def test_construction_canonicalizes_directly():
@@ -30,11 +24,11 @@ def test_construction_canonicalizes_directly():
 
 def test_invalid_inputs():
     with pytest.raises(ValueError):
-        exact_root(0, 2)
+        ExactRoot(0, 2)
     with pytest.raises(ValueError):
-        exact_root(-4, 2)
+        ExactRoot(-4, 2)
     with pytest.raises(ValueError):
-        exact_root(4, 0)
+        ExactRoot(4, 0)
 
 
 @given(
@@ -44,21 +38,21 @@ def test_invalid_inputs():
 )
 @settings(max_examples=200, deadline=None)
 def test_canonical_uniqueness(m, k, j):
-    assert exact_root(Fraction(m) ** k, k * j) == exact_root(m, j)
+    assert ExactRoot(Fraction(m) ** k, k * j) == ExactRoot(m, j)
 
 
 def test_compare_examples():
-    assert exact_root_compare(exact_root(3, 2), exact_root(2, 1)) < 0
-    assert exact_root_compare(exact_root(75, 2), exact_root(75, 2)) == 0
+    assert ExactRoot(3, 2) < ExactRoot(2, 1)
+    assert not ExactRoot(75, 2) < ExactRoot(75, 2) and not ExactRoot(75, 2) > ExactRoot(75, 2)
     # 15**2 = 225 > 175, so sqrt(15) > 175**(1/4)
-    assert exact_root_compare(exact_root(15, 2), exact_root(175, 4)) > 0
+    assert ExactRoot(15, 2) > ExactRoot(175, 4)
 
 
 def test_rich_comparisons_and_mixed_operands():
-    assert exact_root(3, 2) < 2
-    assert exact_root(3, 2) > Fraction(3, 2)
-    assert exact_root(9, 2) == 3
-    assert exact_root(4000, 2) >= exact_root(4000, 2)
+    assert ExactRoot(3, 2) < 2
+    assert ExactRoot(3, 2) > Fraction(3, 2)
+    assert ExactRoot(9, 2) == 3
+    assert ExactRoot(4000, 2) >= ExactRoot(4000, 2)
 
 
 def test_compare_agrees_with_floats_seeded():
@@ -68,22 +62,22 @@ def test_compare_agrees_with_floats_seeded():
         b = ExactRoot(Fraction(rng.randrange(1, 10**6), rng.randrange(1, 100)), rng.randrange(1, 12))
         gap = a.log() - b.log()
         if abs(gap) > 1e-9:
-            assert exact_root_compare(a, b) == (1 if gap > 0 else -1)
+            assert (a > b, a < b) == ((True, False) if gap > 0 else (False, True))
         elif gap == 0.0 and a == b:
-            assert exact_root_compare(a, b) == 0
+            assert a <= b and a >= b and not a < b and not a > b
 
 
 def test_mul_and_pow_examples():
-    assert exact_root_mul(exact_root(2, 2), exact_root(2, 2)) == 2
-    assert exact_root_pow(exact_root(3, 2), 2) == 3
+    assert ExactRoot(2, 2) * ExactRoot(2, 2) == 2
+    assert ExactRoot(3, 2) ** 2 == 3
     # 4000 = 2**5 * 5**3 is not a perfect power, so the index just scales.
-    assert exact_root_pow(exact_root(4000, 2), Fraction(1, 3)) == ExactRoot(4000, 6)
+    assert ExactRoot(4000, 2) ** Fraction(1, 3) == ExactRoot(4000, 6)
 
 
 def test_mul_cross_indexes():
-    assert exact_root(2, 2) * exact_root(2, 3) == ExactRoot(2**5, 6)
-    assert exact_root(8, 2) * exact_root(Fraction(1, 2), 2) == 2
-    assert exact_root(5, 2) / exact_root(5, 2) == 1
+    assert ExactRoot(2, 2) * ExactRoot(2, 3) == ExactRoot(2**5, 6)
+    assert ExactRoot(8, 2) * ExactRoot(Fraction(1, 2), 2) == 2
+    assert ExactRoot(5, 2) / ExactRoot(5, 2) == 1
 
 
 @given(
@@ -100,14 +94,14 @@ def test_mul_matches_logs(m1, k1, m2, k2):
 
 def test_pow_rejects_nonpositive_exponent():
     with pytest.raises(ValueError):
-        exact_root_pow(exact_root(2, 1), 0)
+        ExactRoot(2, 1) ** 0
 
 
 def test_log_value():
-    assert log_value(1) == 0.0
-    assert math.isclose(log_value(exact_root(4000, 2)), math.log(4000) / 2, rel_tol=1e-15)
-    assert math.isclose(log_value(2), math.log(2), rel_tol=1e-15)
-    assert math.isclose(log_value(Fraction(1, 3)), -math.log(3), rel_tol=1e-15)
+    assert ExactRoot(1).log() == 0.0
+    assert math.isclose(ExactRoot(4000, 2).log(), math.log(4000) / 2, rel_tol=1e-15)
+    assert math.isclose(ExactRoot(2).log(), math.log(2), rel_tol=1e-15)
+    assert math.isclose(ExactRoot(Fraction(1, 3)).log(), -math.log(3), rel_tol=1e-15)
 
 
 def test_log_handles_huge_radicands():
@@ -116,7 +110,7 @@ def test_log_handles_huge_radicands():
 
 
 def test_rendering():
-    assert str(exact_root(3, 2)) == "root(3,2)"
-    assert str(exact_root(1, 7)) == "1"
-    assert str(exact_root(6, 1)) == "6"
-    assert str(exact_root(Fraction(7, 2), 3)) == "root(7/2,3)"
+    assert str(ExactRoot(3, 2)) == "root(3,2)"
+    assert str(ExactRoot(1, 7)) == "1"
+    assert str(ExactRoot(6, 1)) == "6"
+    assert str(ExactRoot(Fraction(7, 2), 3)) == "root(7/2,3)"
