@@ -8,10 +8,10 @@ q-th root of the Weil height of the powered image under
 
 with q the product of the weights.  Both routes are implemented exactly: the
 phi reduction (the primary definition here) and the place-by-place product
-(the independent cross-check).  The same reduction, taken through the lcm of
-the weights, powers a provably complete enumerator of all points of height at
-most a bound: enumerate the ordinary projective points below the powered
-bound, keep the ones with a rational preimage, and pull each back.
+(the independent cross-check).  Through lcm(w) the reduction also gives a
+complete enumerator of the points of height at most a bound: scan projective
+points below the powered bound and pull each back, prime by prime with no
+roots, through phi_preimage's kernel on a per-call factor table and cache.
 """
 
 from __future__ import annotations
@@ -167,6 +167,61 @@ def _crt(res_a: int, mod_a: int, res_b: int, mod_b: int) -> tuple[int, int] | No
     return combined, lcm
 
 
+def _root_exponents(pattern: tuple[int | None, ...], powering: list[int]) -> tuple[int, ...] | None:
+    """Exponents of the prime ell in the preimage's coordinates; None on a clash.
+
+    pattern holds v_ell(y_i), None for y_i = 0.  v_ell(mu) is the least r >= 0
+    with every k_i | r + v_i (CRT), and coordinate i gets (r + v_i) / k_i.
+    """
+    residue, modulus = 0, 1
+    for v, k in zip(pattern, powering):
+        if v is not None:
+            combined = _crt(residue, modulus, -v % k, k)
+            if combined is None:
+                return None
+            residue, modulus = combined
+    live = [(v, k) for v, k in zip(pattern, powering) if v is not None]
+    assert all((residue + v) % k == 0 for v, k in live)  # the congruences guarantee it
+    return tuple(0 if v is None else (residue + v) // k for v, k in zip(pattern, powering))
+
+
+def _pullback(
+    coords: tuple[int, ...], valuations: list[dict[int, int]], powering: list[int], patterns: dict
+) -> tuple[int, ...] | None:
+    """Integer coordinates of the phi preimage of coords, or None when none exists.
+
+    Reads only the signs of coords; valuations[i] factors |coords[i]| (empty
+    for 0), phi raises coordinate i to powering[i], and patterns caches
+    _root_exponents for one powering.  mu = +|mu| unless that makes an
+    even-exponent coordinate negative, then -|mu| unless one turns positive.
+    """
+    magnitudes = [1 if c else 0 for c in coords]
+    for ell in set().union(*valuations):
+        pattern = tuple([v.get(ell, 0) if c else None for c, v in zip(coords, valuations)])
+        try:
+            exponents = patterns[pattern]
+        except KeyError:
+            exponents = patterns[pattern] = _root_exponents(pattern, powering)
+        if exponents is None:
+            return None
+        for i, e in enumerate(exponents):
+            if e:
+                magnitudes[i] *= ell**e
+    even_signs = {c > 0 for c, k in zip(coords, powering) if c and k % 2 == 0}
+    if len(even_signs) == 2:
+        return None
+    flip = even_signs == {False}
+    return tuple([-m if (c < 0) != flip else m for c, m in zip(coords, magnitudes)])
+
+
+def _unchecked_point(coords: tuple[Fraction, ...], ws: WeightSystem) -> WeightedPoint:
+    """Wrap valid coordinates for ws, skipping the constructor's checks."""
+    point = object.__new__(WeightedPoint)
+    object.__setattr__(point, "coords", coords)
+    object.__setattr__(point, "weights", ws)
+    return point
+
+
 def phi_preimage(y: ProjectivePoint, weights: WeightSystem | Iterable[int]) -> WeightedPoint | None:
     """A weighted point mapping to y under phi, or None when no rational one exists.
 
@@ -176,7 +231,8 @@ def phi_preimage(y: ProjectivePoint, weights: WeightSystem | Iterable[int]) -> W
     (combined by the Chinese remainder theorem), primes outside the support
     take exponent zero, and both signs of mu are tried subject to the parity
     of the powering exponents.  The smallest such mu is a positive integer,
-    so the search runs on integers throughout.
+    so the search and the coordinates, built prime by prime with no roots
+    taken, stay integral; bounded_points runs the same kernel on a table.
 
     For a normalized y (gcd 1, first nonzero coordinate positive, as every
     ProjectivePoint is) the result is canonical_rep of its class:
@@ -194,35 +250,10 @@ def phi_preimage(y: ProjectivePoint, weights: WeightSystem | Iterable[int]) -> W
     ws = as_weight_system(weights)
     if len(y.coords) != len(ws):
         raise ValueError(f"{len(y.coords)} coordinates but {len(ws)} weights")
-    product = ws.weight_product
-    powering = [product // q for q in ws]
-    nonzero = [(i, c) for i, c in enumerate(y.coords) if c != 0]
-
-    config = _effort.get()
-    profiles = [(_factor_positive(abs(c), config), powering[i]) for i, c in nonzero]
-    support = {ell for profile, _ in profiles for ell in profile}
-    magnitude = 1
-    for ell in sorted(support):
-        residue, modulus = 0, 1
-        for profile, exponent in profiles:
-            combined = _crt(residue, modulus, -profile.get(ell, 0) % exponent, exponent)
-            if combined is None:
-                return None
-            residue, modulus = combined
-        magnitude *= ell**residue
-
-    for mu in (magnitude, -magnitude):
-        coords = [0] * len(y.coords)
-        for i, c in nonzero:
-            powered = mu * c
-            if powered < 0 and powering[i] % 2 == 0:
-                break
-            root = iroot(abs(powered), powering[i])
-            assert root ** powering[i] == abs(powered)  # the congruences guarantee it
-            coords[i] = root if powered > 0 else -root
-        else:
-            return WeightedPoint(coords, ws)
-    return None
+    valuations = [_factor_positive(abs(c), _effort.get()) if c else {} for c in y.coords]
+    powering = [ws.weight_product // q for q in ws]
+    coords = _pullback(y.coords, valuations, powering, {})
+    return None if coords is None else _unchecked_point(tuple(map(Fraction, coords)), ws)
 
 
 def _floor_power(bound: ExactRoot, exponent: int) -> int:
@@ -256,11 +287,17 @@ def _projective_grid(length: int, box: int) -> Iterator[tuple[int, ...]]:
                     yield (*zeros, first, *tail)
 
 
-def _normalized_point(coords: tuple[int, ...]) -> ProjectivePoint:
-    """Wrap coordinates already in normal form, skipping the constructor's reduction."""
-    point = object.__new__(ProjectivePoint)
-    object.__setattr__(point, "coords", coords)
-    return point
+def _factor_table(limit: int, power: int) -> list[dict[int, int]]:
+    """Factorizations of m**power for 0 <= m <= limit (0 and 1: empty), by a prime-power sieve."""
+    table: list[dict[int, int]] = [{} for _ in range(limit + 1)]
+    for p in range(2, limit + 1):
+        if not table[p]:  # no smaller prime divides p
+            q = p
+            while q <= limit:
+                for m in range(q, limit + 1, q):
+                    table[m][p] = table[m].get(p, 0) + power
+                q *= p
+    return table
 
 
 def bounded_points(
@@ -271,36 +308,39 @@ def bounded_points(
     Complete by the powered-image reduction through phi_L, with L the lcm of
     the weights: wh(p)**L is the Weil height of phi_L(p), so every class of
     height at most B maps to an ordinary projective point y of Weil height at
-    most B**L, and all of those are enumerated.  Since phi = (.)**s o phi_L
-    with s = weight_product / L, the classes over y are exactly the phi
-    preimages of y**s; a gcd-reduced, sign-normalized y stays so under
-    powering, and for such input phi_preimage returns the canonical
-    representative itself.  Classes are therefore keyed on the preimage's
-    coordinates, with no further canonicalization; two grid points reach the
-    same class only when their powered images agree, so they share max |y|.
-    Sorted by (height, coordinates); deterministic.
+    most X = floor(B**L), and all of those are enumerated.  Since
+    phi = (.)**s o phi_L with s = weight_product / L, the classes over y are
+    the phi preimages of y**s, and for a gcd-reduced, sign-normalized y
+    phi_preimage's integer pullback returns the canonical representative.
+    Here it reads y**s factored from a table of 1..X and one cache of
+    valuation patterns, both built per call, so no grid coordinate is
+    factored.  Two grid points reach one class only when their powered images
+    agree, so they share max |y|.  Sorted by (height, coordinates); a bound
+    below 1 lists nothing, since every weighted height is at least 1.
     """
     ws = as_weight_system(weights)
+    if (bound.radicand if isinstance(bound, ExactRoot) else bound) < 1:
+        return []
     if not isinstance(bound, ExactRoot):
         bound = ExactRoot(Fraction(bound))
-    if bound < ONE:
-        return []
     lcm = math.lcm(*ws)
     power = ws.weight_product // lcm
-    classes: dict[tuple[int, ...], tuple[int, WeightedPoint]] = {}
-    for y in _projective_grid(len(ws), _floor_power(bound, lcm)):
-        rep = phi_preimage(_normalized_point(tuple(c**power for c in y)), ws)
+    box = _floor_power(bound, lcm)
+    table = _factor_table(box, power)
+    powering = [ws.weight_product // q for q in ws]
+    patterns: dict = {}
+    classes: dict[tuple[int, ...], int] = {}
+    for y in _projective_grid(len(ws), box):
+        signs = y if power % 2 else tuple(map(abs, y))  # the signs of y**power
+        rep = _pullback(signs, [table[abs(c)] for c in y], powering, patterns)
         if rep is not None:
-            classes[tuple(c.numerator for c in rep.coords)] = (max(map(abs, y)), rep)
-
-    heights: dict[int, ExactRoot] = {}
-    listing = []
-    for key in sorted(classes, key=lambda key: (classes[key][0], key)):
-        h, rep = classes[key]
-        if h not in heights:
-            heights[h] = ExactRoot(Fraction(h), lcm)
-        listing.append((rep, heights[h]))
-    return listing
+            classes[rep] = max(map(abs, y))
+    heights = {h: ExactRoot(Fraction(h), lcm) for h in set(classes.values())}
+    fractions = {c: Fraction(c) for c in set(itertools.chain.from_iterable(classes))}
+    return [
+        (_unchecked_point(tuple(map(fractions.__getitem__, rep)), ws), heights[h])
+        for rep, h in sorted(classes.items(), key=lambda item: (item[1], item[0]))
+    ]
 
 
 def enumerate_bounded(

@@ -5,9 +5,11 @@ correctness is obvious from the definitions, plus the wgcd/awgcd routes that
 factor every coordinate (integer and rational), used as independent oracles
 for the production routes (which factor only gcd(x)), the equivalence test
 that factors every coordinate ratio (the library combines the ratios by
-Bezout and takes one exact root instead), and the enumerator that
-canonicalizes every pullback, the reference for the one that keys classes on
-phi_preimage's output directly.
+Bezout and takes one exact root instead), the pullback that takes integer
+roots of the scaled coordinates (the library builds them prime by prime from
+cached valuation patterns), and the enumerator that canonicalizes every
+pullback, the reference for the one that keys classes on the library's
+pullback directly.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from wpheights import (
     canonical_rep,
     factorize,
     iroot,
-    phi_preimage,
     scale,
 )
 from wpheights.heights import _floor_power
@@ -177,14 +178,53 @@ def bounded_classes_brute(weights, bound: ExactRoot, box: int) -> set[tuple[Frac
     return reps
 
 
+def phi_preimage_iroot(y: ProjectivePoint, weights) -> WeightedPoint | None:
+    """phi_preimage from the factorization of y, a magnitude for mu and integer roots.
+
+    Per prime ell of y, v_ell(mu) is the least r >= 0 making every r + v_ell(y_i)
+    (nonzero y_i) a multiple of the powering exponent k_i, found by scanning
+    one period of the congruences.  Then mu * y_i must be an exact k_i-th power
+    for each i, taking +mu first and -mu second.
+    """
+    ws = as_weight_system(weights)
+    powering = [ws.weight_product // q for q in ws]
+    nonzero = [(i, c) for i, c in enumerate(y.coords) if c != 0]
+    profiles = [(factorize(c).factors, powering[i]) for i, c in nonzero]
+    period = math.lcm(*powering)
+    magnitude = 1
+    for ell in sorted({ell for profile, _ in profiles for ell in profile}):
+        solutions = (
+            r for r in range(period)
+            if all((r + profile.get(ell, 0)) % k == 0 for profile, k in profiles)
+        )
+        residue = next(solutions, None)
+        if residue is None:
+            return None
+        magnitude *= ell**residue
+
+    for mu in (magnitude, -magnitude):
+        coords = [0] * len(y.coords)
+        for i, c in nonzero:
+            powered = mu * c
+            if powered < 0 and powering[i] % 2 == 0:
+                break
+            root = iroot(abs(powered), powering[i])
+            assert root ** powering[i] == abs(powered)  # the congruences guarantee it
+            coords[i] = root if powered > 0 else -root
+        else:
+            return WeightedPoint(coords, ws)
+    return None
+
+
 def bounded_points_canonicalizing(weights, bound: ExactRoot) -> list[tuple[WeightedPoint, ExactRoot]]:
     """bounded_points with every pullback passed through canonical_rep.
 
     Scans the whole box of Weil height <= floor(B**L), L = lcm(w), filters it
     to gcd-1, sign-normalized tuples, and keys classes on canonical_rep of
-    each phi preimage of y**(q/L).  The library enumerator generates the
-    normalized tuples directly and relies on phi_preimage already returning
-    the canonical representative; this holds it to both.
+    each phi preimage of y**(q/L), taken by phi_preimage_iroot.  The library
+    enumerator generates the normalized tuples directly and relies on its
+    pullback already returning the canonical representative; this holds it
+    to both.
     """
     ws = as_weight_system(weights)
     if bound < 1:
@@ -196,7 +236,7 @@ def bounded_points_canonicalizing(weights, bound: ExactRoot) -> list[tuple[Weigh
     for y in itertools.product(range(-box, box + 1), repeat=len(ws)):
         if not any(y) or math.gcd(*y) != 1 or next(c for c in y if c != 0) < 0:
             continue
-        preimage = phi_preimage(ProjectivePoint(c**power for c in y), ws)
+        preimage = phi_preimage_iroot(ProjectivePoint(c**power for c in y), ws)
         if preimage is None:
             continue
         rep = canonical_rep(preimage)

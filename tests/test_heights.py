@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -5,7 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import bounded_classes_brute, bounded_points_canonicalizing, weil_height_of_raw
+from oracles import (
+    bounded_classes_brute,
+    bounded_points_canonicalizing,
+    phi_preimage_iroot,
+    weil_height_of_raw,
+)
 from wpheights import (
     ExactRoot,
     ProjectivePoint,
@@ -24,7 +30,9 @@ from wpheights import (
     weighted_height_direct,
     weil_height,
 )
-from wpheights.heights import _projective_grid
+import wpheights.heights
+from wpheights import factorize
+from wpheights.heights import _factor_table, _projective_grid
 
 
 def test_projective_point_reduces_and_fixes_sign():
@@ -212,6 +220,11 @@ def test_enumerate_height_one_weights_2_3_has_four_classes():
 def test_enumerate_below_one_is_empty():
     assert enumerate_bounded((2, 3), Fraction(9, 10)) == []
     assert counting_function((1, 1), Fraction(1, 2)) == 0
+    # Every weighted height is at least 1, so a bound <= 0 admits no point either.
+    for bound in (0, Fraction(0), Fraction(-1, 2), -1):
+        assert bounded_points((2, 3), bound) == []
+        assert enumerate_bounded((1, 2, 3), bound) == []
+        assert counting_function((2, 3), bound) == 0
 
 
 def test_counting_function_matches_enumeration():
@@ -304,3 +317,71 @@ def test_projective_grid_is_the_filtered_box(length, box):
 )
 def test_enumeration_matches_canonicalizing_reference(weights, bound):
     assert bounded_points(weights, bound) == bounded_points_canonicalizing(weights, bound)
+
+
+def test_phi_preimage_matches_iroot_oracle_seeded():
+    # Against the route that takes integer roots of mu * y_i: images of phi
+    # (hits, many with coordinates above 2**40; every 100th built on primes
+    # that only rho finds), random 45-bit tuples (mostly non-images), and
+    # small tuples with zeros.
+    rng = random.Random(4141)
+    hits = misses = wide = 0
+    for trial in range(2400):
+        length = rng.randint(1, 4)
+        weights = [rng.randint(1, 6) for _ in range(length)]
+        if trial % 100 == 0:
+            weights = [rng.randint(1, 2), rng.randint(1, 2)]
+            coords = [rng.choice((1, -1)) * rng.choice((1, 65537, 1000003, 2**31 - 1)) for _ in weights]
+            y = phi(WeightedPoint(coords, weights))
+        elif trial % 3 == 0:
+            coords = [
+                rng.choice((1, -1)) * math.prod(rng.choices((2, 3, 5, 7, 11, 13, 4093), k=rng.randint(0, 2)))
+                if rng.random() > 0.2 else 0
+                for _ in range(length)
+            ]
+            if not any(coords):
+                coords[0] = 4093
+            y = phi(WeightedPoint(coords, weights))
+        elif trial % 3 == 1:
+            y = ProjectivePoint(rng.randint(-(2**45), 2**45) or 1 for _ in range(length))
+        else:
+            y = ProjectivePoint([rng.randint(-12, 12) for _ in range(length - 1)] + [rng.randint(1, 12)])
+        got = phi_preimage(y, weights)
+        assert got == phi_preimage_iroot(y, weights)
+        hits += got is not None
+        misses += got is None
+        wide += max(map(abs, y.coords)) > 2**40
+    assert hits > 1000 and misses > 500 and wide > 800
+    assert phi_preimage(ProjectivePoint((2, 1)), (2, 4)) is None
+    assert phi_preimage_iroot(ProjectivePoint((2, 1)), (2, 4)) is None
+
+
+def test_factor_table_matches_factorize():
+    table = _factor_table(5000, 1)
+    assert len(table) == 5001
+    assert table[0] == {} and table[1] == {}
+    for m in range(2, 5001):
+        assert table[m] == factorize(m).factors
+    cubed = _factor_table(60, 3)
+    assert all(cubed[m] == {p: 3 * e for p, e in table[m].items()} for m in range(61))
+
+
+@pytest.mark.parametrize(
+    "weights, bound, classes, digest",
+    [
+        ((2, 3), ExactRoot(2), 5040, "387e4e009f6558a05addbf83d424e8ff4a9cb86b58e9a16f48ad9ee6c608da76"),
+        ((1, 2, 3), ExactRoot(10, 6), 166, "efbcdfdc872b00d90d130ab33347a5a6b90f45a4f1a53dc4f804399fd2d2b4b5"),
+    ],
+    ids=["w2,3-B2", "w1,2,3-B10^(1/6)"],
+)
+def test_enumeration_factors_no_grid_coordinate(monkeypatch, weights, bound, classes, digest):
+    # The grid is factored from a per-call table; only the heights and the
+    # bound go through ExactRoot's own factoring.
+    def refuse(n, config):
+        raise AssertionError(f"factored grid coordinate {n}")
+
+    monkeypatch.setattr(wpheights.heights, "_factor_positive", refuse)
+    listing = bounded_points(weights, bound)
+    text = "".join(f"{point} h={height}\n" for point, height in listing)
+    assert len(listing) == classes
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
