@@ -18,7 +18,6 @@ from .factorization import (
     iroot,
     is_prime,
     nth_root_rational,
-    plus_valuation,
     primes_up_to,
     valuation,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "nth_root_rational",
     "phi",
     "phi_preimage",
-    "plus_valuation",
     "primes_up_to",
     "replay_well_forming",
     "scale",

@@ -271,13 +271,6 @@ class Factorization:
             if not is_prime(p):
                 raise ValueError(f"factor key {p} is not prime")
 
-    def value(self) -> Fraction:
-        """Reconstruct the exact rational this factorization encodes."""
-        result = Fraction(self.sign)
-        for p, e in self.factors.items():
-            result *= Fraction(p) ** e
-        return result
-
     def __str__(self) -> str:
         if not self.factors:
             body = "1"
@@ -319,11 +312,6 @@ def valuation(value: int | Fraction, p: int) -> int:
     if value.denominator % p == 0:
         return -_extract(value.denominator, p)[1]
     return _extract(abs(value.numerator), p)[1]
-
-
-def plus_valuation(value: int | Fraction, p: int) -> int:
-    """max(valuation(value, p), 0)."""
-    return max(valuation(value, p), 0)
 
 
 def iroot(n: int, k: int) -> int:

@@ -24,7 +24,7 @@ from typing import Iterable, Iterator
 
 from .factorization import _effort, _factor_positive, factorize, iroot, nth_root_rational
 from .radicals import ONE, ExactRoot
-from .projective import WeightedPoint, clear_denominators
+from .projective import WeightedPoint, _integral, _unchecked_point
 from .wgcd import WeightSystem, as_weight_system
 
 
@@ -96,8 +96,7 @@ def weighted_height_direct(p: WeightedPoint) -> ExactRoot:
     coordinate has absolute value 0 and never attains the max), and the
     archimedean place contributes max_i |x_i|**(1/q_i).
     """
-    integral = clear_denominators(p)
-    nonzero = [(abs(c.numerator), q) for c, q in zip(integral.coords, integral.weights) if c != 0]
+    nonzero = [(abs(c), q) for c, q in zip(_integral(p), p.weights) if c != 0]
     exponents: dict[int, Fraction] = {}
     profiles = [(factorize(c).factors if c > 1 else {}, q) for c, q in nonzero]
     support = {ell for profile, _ in profiles for ell in profile}
@@ -214,14 +213,6 @@ def _pullback(
     return tuple([-m if (c < 0) != flip else m for c, m in zip(coords, magnitudes)])
 
 
-def _unchecked_point(coords: tuple[Fraction, ...], ws: WeightSystem) -> WeightedPoint:
-    """Wrap valid coordinates for ws, skipping the constructor's checks."""
-    point = object.__new__(WeightedPoint)
-    object.__setattr__(point, "coords", coords)
-    object.__setattr__(point, "weights", ws)
-    return point
-
-
 def phi_preimage(y: ProjectivePoint, weights: WeightSystem | Iterable[int]) -> WeightedPoint | None:
     """A weighted point mapping to y under phi, or None when no rational one exists.
 
@@ -319,7 +310,7 @@ def bounded_points(
     below 1 lists nothing, since every weighted height is at least 1.
     """
     ws = as_weight_system(weights)
-    if (bound.radicand if isinstance(bound, ExactRoot) else bound) < 1:
+    if bound < 1:
         return []
     if not isinstance(bound, ExactRoot):
         bound = ExactRoot(Fraction(bound))

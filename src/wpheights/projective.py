@@ -7,6 +7,12 @@ a decision procedure for rational equivalence with an explicit witness, a
 canonical representative suitable for exact deduplication, the naive size,
 and the weight well-forming algorithm.
 
+clear_denominators, normalize, absolutely_normalize, canonical_rep and
+naive_size share one integer path: scale to the least integral
+representative (factoring each denominator once), divide out the prime
+powers that the wgcd kernel reads from gcd(x) alone, and build one point at
+the end, or return the input when nothing changed.
+
 The canonical representative is chosen so that two rational tuples receive
 the same representative exactly when the ordinary projective points obtained
 by raising coordinates to weight_product/q_i coincide.  That identification
@@ -22,9 +28,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .factorization import factorize, nth_root_rational, valuation
+from .factorization import factorize, nth_root_rational
 from .radicals import ExactRoot
-from .wgcd import WeightSystem, WeightedTuple, as_weight_system, awgcd, wgcd
+from .wgcd import WeightSystem, WeightedTuple, _recombine, as_weight_system
 
 
 @dataclass(frozen=True)
@@ -70,57 +76,71 @@ def scale(p: WeightedPoint, lam: int | Fraction) -> WeightedPoint:
     return WeightedPoint(coords, p.weights)
 
 
+def _unchecked_point(coords: tuple[Fraction, ...], ws: WeightSystem) -> WeightedPoint:
+    """Wrap valid coordinates for ws, skipping the constructor's checks."""
+    point = object.__new__(WeightedPoint)
+    object.__setattr__(point, "coords", coords)
+    object.__setattr__(point, "weights", ws)
+    return point
+
+
+def _result(p: WeightedPoint, coords: list[int]) -> WeightedPoint:
+    """p itself when coords are its coordinates, else the point on coords."""
+    if all(a == b for a, b in zip(coords, p.coords)):
+        return p
+    return _unchecked_point(tuple(map(Fraction, coords)), p.weights)
+
+
+def _integral(p: WeightedPoint) -> list[int]:
+    """The coordinates of p scaled by the least N >= 1 making every N**q_i * x_i integral.
+
+    Each denominator is factored once.  A reduced x_i whose denominator
+    holds ell**d asks for ell**ceil(d / q_i) in N, and N takes the largest
+    such power of each ell.
+    """
+    needed: dict[int, int] = {}
+    for c, q in zip(p.coords, p.weights):
+        if c.denominator > 1:
+            for ell, d in factorize(c.denominator).factors.items():
+                needed[ell] = max(needed.get(ell, 0), -(-d // q))
+    n = math.prod(ell**e for ell, e in needed.items())
+    return [c.numerator * (n**q // c.denominator) for c, q in zip(p.coords, p.weights)]
+
+
+def _integer_coords(p: WeightedPoint) -> list[int]:
+    if not p.is_integral:
+        raise ValueError("normalize needs integer coordinates; clear denominators first")
+    return [c.numerator for c in p.coords]
+
+
+def _reduced(coords: list[int], units: Sequence[int]) -> list[int]:
+    """coords with coordinate i divided by m**units[i].
+
+    m is the largest integer with every m**units[i] dividing coords[i]: the
+    wgcd for units = q_i, the awgcd**weight_gcd for the reduced weights.
+    Only gcd(coords) is factored, and zero coordinates stay zero.
+    """
+    m = math.prod(ell**e for ell, e in _recombine(coords, units).items())
+    return [c // m**u for c, u in zip(coords, units)]
+
+
 def clear_denominators(p: WeightedPoint) -> WeightedPoint:
     """Scale by the least positive integer N making every N**q_i * x_i integral."""
-    if p.is_integral:
-        return p
-    scale_factor = 1
-    primes: set[int] = set()
-    for c in p.coords:
-        if c != 0 and c.denominator > 1:
-            primes.update(factorize(c.denominator).factors)
-    for ell in primes:
-        needed = 0
-        for c, q in zip(p.coords, p.weights):
-            if c == 0:
-                continue
-            deficit = -valuation(c, ell)
-            if deficit > 0:
-                needed = max(needed, -(-deficit // q))
-        scale_factor *= ell**needed
-    return scale(p, scale_factor)
+    return _result(p, _integral(p))
 
 
 def normalize(p: WeightedPoint) -> WeightedPoint:
     """Divide an integral point by wgcd**q_i per coordinate; idempotent."""
-    if not p.is_integral:
-        raise ValueError("normalize needs integer coordinates; clear denominators first")
-    d = wgcd(p.as_weighted_tuple())
-    if d == 1:
-        return p
-    coords = tuple(c / Fraction(d) ** q for c, q in zip(p.coords, p.weights))
-    return WeightedPoint(coords, p.weights)
+    return _result(p, _reduced(_integer_coords(p), p.weights.weights))
 
 
 def absolutely_normalize(p: WeightedPoint) -> WeightedPoint:
-    """Divide an integral point by awgcd**q_i per coordinate; result has awgcd 1."""
-    if not p.is_integral:
-        raise ValueError("normalize needs integer coordinates; clear denominators first")
-    return _divide_out(p, p.as_weighted_tuple())
+    """Divide an integral point by awgcd**q_i per coordinate; result has awgcd 1.
 
-
-def _divide_out(p: WeightedPoint, live: WeightedTuple) -> WeightedPoint:
-    """Divide coordinate i of p by awgcd(live)**q_i; zero coordinates stay zero."""
-    root = awgcd(live)
-    if root.radicand == 1:
-        return p
-    # awgcd(live) = m**(1/k) with k dividing every weight of live, so each
-    # coordinate of live is divided by an integer; a zero coordinate stays
-    # zero whatever q // k is.
-    coords = tuple(
-        c / root.radicand ** (q // root.index) for c, q in zip(p.coords, p.weights)
-    )
-    return WeightedPoint(coords, p.weights)
+    With awgcd = m**(1/g), g = weight_gcd, that divides x_i by the integer
+    m**(q_i/g).
+    """
+    return _result(p, _reduced(_integer_coords(p), p.weights.reduced_weights))
 
 
 def _bezout(values: list[int]) -> list[int]:
@@ -167,18 +187,6 @@ def equivalent(p: WeightedPoint, r: WeightedPoint) -> Fraction | None:
     return None
 
 
-def _reduce_magnitudes(p: WeightedPoint) -> WeightedPoint:
-    """Divide out the absolute weighted gcd of the nonzero sub-tuple.
-
-    Zero coordinates impose no constraint at all here (unlike
-    :func:`absolutely_normalize`, where the divisor powers must still be
-    integers at zero positions), so the resulting magnitudes are the unique
-    smallest ones among tuples sharing the powered projective image.
-    """
-    live = [(c, q) for c, q in zip(p.coords, p.weights) if c != 0]
-    return _divide_out(p, WeightedTuple((c.numerator for c, _ in live), (q for _, q in live)))
-
-
 def canonical_rep(p: WeightedPoint) -> WeightedPoint:
     """Deterministic representative identifying points with equal powered images.
 
@@ -188,20 +196,24 @@ def canonical_rep(p: WeightedPoint) -> WeightedPoint:
     sign entirely, and when every nonzero coordinate has an odd exponent the
     whole tuple may flip, so the first nonzero coordinate is made positive.
     Idempotent and invariant under scaling.
+
+    Zero coordinates impose no constraint on the divisor here (unlike
+    :func:`absolutely_normalize`, where its powers must still be integers at
+    zero positions), so the resulting magnitudes are the unique smallest ones
+    among tuples sharing the powered projective image.
     """
-    integral = _reduce_magnitudes(clear_denominators(p))
+    coords = _integral(p)
+    live_gcd = math.gcd(*(q for c, q in zip(coords, p.weights) if c != 0))
+    # A zero coordinate stays zero whatever its unit, so it constrains nothing.
+    coords = _reduced(coords, [q // live_gcd for q in p.weights])
     product = p.weights.weight_product
-    powering = [product // q for q in p.weights]
-    coords = list(integral.coords)
-    odd_positions = [
-        i for i, c in enumerate(coords) if c != 0 and powering[i] % 2 == 1
-    ]
-    nonzero_count = sum(1 for c in coords if c != 0)
-    coords = [abs(c) if powering[i] % 2 == 0 else c for i, c in enumerate(coords)]
-    if odd_positions and len(odd_positions) == nonzero_count:
-        if coords[odd_positions[0]] < 0:
+    even = [(product // q) % 2 == 0 for q in p.weights]
+    coords = [abs(c) if e else c for c, e in zip(coords, even)]
+    # Every nonzero coordinate has an odd exponent: the whole tuple may flip.
+    if not any(c != 0 and e for c, e in zip(coords, even)):
+        if next(c for c in coords if c != 0) < 0:
             coords = [-c for c in coords]
-    return WeightedPoint(coords, p.weights)
+    return _result(p, coords)
 
 
 def naive_size(p: WeightedPoint) -> ExactRoot:
@@ -211,16 +223,8 @@ def naive_size(p: WeightedPoint) -> ExactRoot:
     and agrees with it exactly when the powered tuple of the normalized
     representative has gcd 1.
     """
-    reduced = normalize(clear_denominators(p))
-    best: ExactRoot | None = None
-    for c, q in zip(reduced.coords, reduced.weights):
-        if c == 0:
-            continue
-        candidate = ExactRoot(abs(c), q)
-        if best is None or candidate > best:
-            best = candidate
-    assert best is not None
-    return best
+    coords = _reduced(_integral(p), p.weights.weights)
+    return max(ExactRoot(abs(c), q) for c, q in zip(coords, p.weights) if c != 0)
 
 
 def is_well_formed(weights: WeightSystem | Iterable[int]) -> bool:

@@ -83,16 +83,21 @@ class ExactRoot:
         return None
 
     def __eq__(self, other: object) -> bool:
-        coerced = self._coerce(other) if not isinstance(other, ExactRoot) else other
-        if coerced is None:
-            return NotImplemented
-        return self.radicand == coerced.radicand and self.index == coerced.index
+        if isinstance(other, ExactRoot):
+            return self.radicand == other.radicand and self.index == other.index
+        if isinstance(other, (int, Fraction)):
+            # Canonical form: the value is rational exactly when the index is 1.
+            return self.index == 1 and self.radicand == other
+        return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.radicand, self.index))
+        # A rational value hashes as the equal int or Fraction does.
+        return hash(self.radicand) if self.index == 1 else hash((self.radicand, self.index))
 
     def _ordered(self, other: "ExactRoot | int | Fraction", holds) -> bool:
         """holds(sign, 0) for the sign of self - other, as _compare gives it."""
+        if isinstance(other, (int, Fraction)) and other <= 0:
+            return holds(1, 0)  # a positive real exceeds every rational <= 0
         coerced = self._coerce(other)
         if coerced is None:
             return NotImplemented

@@ -95,23 +95,26 @@ def _as_int(value) -> int:
     return as_fraction.numerator
 
 
-def _recombine(x: WeightedTuple, divisors: Sequence[int]) -> int:
+def _recombine(coords: Sequence[int], divisors: Sequence[int]) -> dict[int, int]:
     """Per prime, the min over nonzero coordinates of floor(v_p(x_i) / divisors[i]).
 
-    Only gcd(x) is factored: a prime outside it has v_p(x_i) = 0 for some i.
-    The exponent of p is at most v_p(gcd(x)) // min(divisors), often 0; when
-    it is not, the valuations of the coordinates come from repeated division.
+    Returns only the positive exponents.  Only gcd(x) is factored: a prime
+    outside it has v_p(x_i) = 0 for some i.  The exponent of p is at most
+    v_p(gcd(x)) // min(divisors), often 0; when it is not, the valuations of
+    the coordinates come from repeated division.
     """
-    nonzero = [(abs(c), u) for c, u in zip(x.coords, divisors) if c != 0]
+    nonzero = [(abs(c), u) for c, u in zip(coords, divisors) if c != 0]
     g = math.gcd(*(c for c, _ in nonzero))
     if g == 1:
-        return 1
+        return {}
     unit_min = min(u for _, u in nonzero)
-    result = 1
+    exponents = {}
     for p, s in factorize(g).factors.items():
         if s >= unit_min:
-            result *= p ** min(_extract(c, p)[1] // u for c, u in nonzero)
-    return result
+            e = min(_extract(c, p)[1] // u for c, u in nonzero)
+            if e:
+                exponents[p] = e
+    return exponents
 
 
 def wgcd(x: WeightedTuple) -> int:
@@ -119,7 +122,7 @@ def wgcd(x: WeightedTuple) -> int:
 
     Only gcd(x) is factored: a prime outside it cannot divide d.
     """
-    return _recombine(x, x.weights.weights)
+    return math.prod(p**e for p, e in _recombine(x.coords, x.weights.weights).items())
 
 
 def awgcd(x: WeightedTuple) -> ExactRoot:
@@ -127,10 +130,12 @@ def awgcd(x: WeightedTuple) -> ExactRoot:
 
     The result is the weight_gcd-th root of an integer, returned canonical;
     per prime the exponent is the minimum of floor(v_p(x_i) / qbar_i) over
-    the reduced weights qbar_i = q_i / weight_gcd.
+    the reduced weights qbar_i = q_i / weight_gcd.  The root is built from
+    those exponents, so gcd(x) is the only number factored.
     """
-    radicand = _recombine(x, x.weights.reduced_weights)
-    return ExactRoot(Fraction(radicand), x.weights.weight_gcd)
+    g = x.weights.weight_gcd
+    exponents = _recombine(x.coords, x.weights.reduced_weights)
+    return ExactRoot._from_exponents({p: Fraction(e, g) for p, e in exponents.items()})
 
 
 def generalized_wgcd(

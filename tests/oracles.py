@@ -3,13 +3,17 @@
 Everything here is deliberately naive: divisor sweeps and box scans whose
 correctness is obvious from the definitions, plus the wgcd/awgcd routes that
 factor every coordinate (integer and rational), used as independent oracles
-for the production routes (which factor only gcd(x)), the equivalence test
-that factors every coordinate ratio (the library combines the ratios by
-Bezout and takes one exact root instead), the pullback that takes integer
-roots of the scaled coordinates (the library builds them prime by prime from
-cached valuation patterns), and the enumerator that canonicalizes every
-pullback, the reference for the one that keys classes on the library's
-pullback directly.
+for the production routes (which factor only gcd(x)), the point operations
+on Fraction points (denominators cleared through one valuation per prime and
+coordinate, gcds divided out through the factoring wgcd/awgcd; the library
+runs one integer clear-and-divide kernel), the equivalence test that
+factors every coordinate ratio (the library combines the ratios by Bezout
+and takes one exact root instead), the pullback that takes integer roots of
+the scaled coordinates (the library builds them prime by prime from cached
+valuation patterns), and the enumerator that canonicalizes every pullback,
+the reference for the one that keys classes on the library's pullback
+directly.  Two helpers only the tests need live here too:
+:func:`plus_valuation` and :func:`factorization_value`.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from fractions import Fraction
 
 from wpheights import (
     ExactRoot,
+    Factorization,
     ProjectivePoint,
     WeightedPoint,
     WeightedTuple,
@@ -28,6 +33,7 @@ from wpheights import (
     factorize,
     iroot,
     scale,
+    valuation,
 )
 from wpheights.heights import _floor_power
 
@@ -122,6 +128,80 @@ def generalized_awgcd_factoring(coords, weights) -> ExactRoot:
     profile = _plus_profile(coords, ws.reduced_weights)
     radicand = math.prod(p**a for p, a in profile.items())
     return ExactRoot(Fraction(radicand), ws.weight_gcd)
+
+
+def plus_valuation(value, p: int) -> int:
+    """max(valuation(value, p), 0)."""
+    return max(valuation(value, p), 0)
+
+
+def factorization_value(f: Factorization) -> Fraction:
+    """The exact rational a factorization encodes: sign * prod(p**e)."""
+    result = Fraction(f.sign)
+    for p, e in f.factors.items():
+        result *= Fraction(p) ** e
+    return result
+
+
+def clear_denominators_valuation(p: WeightedPoint) -> WeightedPoint:
+    """clear_denominators through one valuation per (prime, coordinate) pair."""
+    if p.is_integral:
+        return p
+    primes: set[int] = set()
+    for c in p.coords:
+        if c != 0 and c.denominator > 1:
+            primes.update(factorize(c.denominator).factors)
+    scale_factor = 1
+    for ell in primes:
+        needed = 0
+        for c, q in zip(p.coords, p.weights):
+            if c == 0:
+                continue
+            deficit = -valuation(c, ell)
+            if deficit > 0:
+                needed = max(needed, -(-deficit // q))
+        scale_factor *= ell**needed
+    return scale(p, scale_factor)
+
+
+def _divide_by_root(p: WeightedPoint, root: ExactRoot) -> WeightedPoint:
+    """Coordinate i divided by root**q_i, which is an integer when root.index | q_i."""
+    return WeightedPoint(
+        (c / root.radicand ** (q // root.index) for c, q in zip(p.coords, p.weights)), p.weights
+    )
+
+
+def normalize_fraction(p: WeightedPoint) -> WeightedPoint:
+    """normalize on Fractions: divide by wgcd_factoring**q_i."""
+    return _divide_by_root(p, ExactRoot(wgcd_factoring(p.as_weighted_tuple())))
+
+
+def absolutely_normalize_fraction(p: WeightedPoint) -> WeightedPoint:
+    """absolutely_normalize on Fractions: divide by awgcd_factoring**q_i."""
+    return _divide_by_root(p, awgcd_factoring(p.as_weighted_tuple()))
+
+
+def canonical_rep_fraction(p: WeightedPoint) -> WeightedPoint:
+    """canonical_rep on Fractions: clear, divide by the nonzero sub-tuple's awgcd, fix signs."""
+    integral = clear_denominators_valuation(p)
+    live = [(c.numerator, q) for c, q in zip(integral.coords, integral.weights) if c != 0]
+    root = awgcd_factoring(WeightedTuple((c for c, _ in live), (q for _, q in live)))
+    coords = list(_divide_by_root(integral, root).coords)
+    product = p.weights.weight_product
+    powering = [product // q for q in p.weights]
+    odd_positions = [i for i, c in enumerate(coords) if c != 0 and powering[i] % 2 == 1]
+    nonzero_count = sum(1 for c in coords if c != 0)
+    coords = [abs(c) if powering[i] % 2 == 0 else c for i, c in enumerate(coords)]
+    if odd_positions and len(odd_positions) == nonzero_count:
+        if coords[odd_positions[0]] < 0:
+            coords = [-c for c in coords]
+    return WeightedPoint(coords, p.weights)
+
+
+def naive_size_fraction(p: WeightedPoint) -> ExactRoot:
+    """naive_size on Fractions: the largest |x_i|**(1/q_i) after clearing and normalizing."""
+    reduced = normalize_fraction(clear_denominators_valuation(p))
+    return max(ExactRoot(abs(c), q) for c, q in zip(reduced.coords, reduced.weights) if c != 0)
 
 
 def equivalent_factoring(p: WeightedPoint, r: WeightedPoint) -> Fraction | None:

@@ -1,10 +1,21 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from oracles import equivalent_factoring
+import wpheights.factorization
+from oracles import (
+    absolutely_normalize_fraction,
+    awgcd_factoring,
+    canonical_rep_fraction,
+    clear_denominators_valuation,
+    equivalent_factoring,
+    naive_size_fraction,
+    normalize_fraction,
+    wgcd_factoring,
+)
 from wpheights import (
     ExactRoot,
     FactorConfig,
@@ -159,6 +170,85 @@ def test_equivalent_needs_no_factoring():
     starved = FactorConfig(trial_bound=10, rho_iterations=2, rho_attempts=0)
     with factor_config(starved):
         assert equivalent(WeightedPoint((10403, 1), (1, 1)), WeightedPoint((1, 1), (1, 1))) is None
+
+
+def _seeded_magnitude(rng: random.Random) -> int:
+    n = 1
+    for ell in (2, 3, 5, 7, 11, 4093):
+        if rng.random() < 0.4:
+            n *= ell ** rng.randint(1, 5 if ell < 10 else 2)
+    return n
+
+
+def test_point_operations_match_fraction_route_seeded():
+    # Half the points use weights with shared factors, 15% of coordinates are
+    # zero, and half the points are scaled by a rational, so denominators,
+    # wgcd > 1 and awgcd > 1 are all common.
+    rng = random.Random(707)
+    shared = [(2, 4, 6), (6, 10, 15), (6, 8)]
+    rational = wgcd_above_one = awgcd_above_one = 0
+    for i in range(2000):
+        if i % 2 == 0:
+            weights = rng.choice(shared)
+        else:
+            weights = tuple(rng.randint(1, 8) for _ in range(rng.randint(1, 4)))
+        coords = [
+            0
+            if rng.random() < 0.15
+            else Fraction(rng.choice((1, -1)) * _seeded_magnitude(rng), _seeded_magnitude(rng))
+            for _ in weights
+        ]
+        if not any(coords):
+            coords[0] = Fraction(6)
+        p = WeightedPoint(coords, weights)
+        if rng.random() < 0.5:
+            p = scale(p, Fraction(_seeded_magnitude(rng), _seeded_magnitude(rng)))
+        rational += not p.is_integral
+        integral = clear_denominators(p)
+        assert integral == clear_denominators_valuation(p)
+        assert normalize(integral) == normalize_fraction(integral)
+        assert absolutely_normalize(integral) == absolutely_normalize_fraction(integral)
+        assert canonical_rep(p) == canonical_rep_fraction(p)
+        assert naive_size(p) == naive_size_fraction(p)
+        t = integral.as_weighted_tuple()
+        d, root = wgcd(t), awgcd(t)
+        assert d == wgcd_factoring(t)
+        assert root == awgcd_factoring(t)
+        wgcd_above_one += d > 1
+        awgcd_above_one += root > 1
+    assert rational > 1000 and wgcd_above_one > 500 and awgcd_above_one > 1000
+
+
+def test_unchanged_points_come_back_as_is():
+    p = WeightedPoint((180, 175), (3, 2))
+    assert clear_denominators(p) is p
+    assert normalize(p) is p
+    assert absolutely_normalize(p) is p
+    rep = canonical_rep(WeightedPoint((1440, 700), (3, 2)))
+    assert canonical_rep(rep) is rep
+
+
+def test_awgcd_and_canonical_rep_factor_only_gcd(monkeypatch):
+    # awgcd = (2**4 * 3**3 * 1000003**2)**(1/2): the root is built from the
+    # exponents found in gcd(x), not by factoring its radicand again.
+    big = 1000003
+    t = WeightedTuple((2**6 * 3**4 * big**2, 2**8 * 3**6 * big**4), (2, 4))
+    calls = []
+    original = wpheights.factorization.factorize
+
+    def counting(value, config=None):
+        calls.append(value)
+        return original(value, config)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("wpheights.") and getattr(module, "factorize", None) is original:
+            monkeypatch.setattr(module, "factorize", counting)
+    root = awgcd(t)
+    assert len(calls) == 1
+    assert (root.radicand, root.index) == (2**4 * 3**3 * big**2, 2)
+    calls.clear()
+    assert canonical_rep(WeightedPoint(t.coords, t.weights)).coords == (12, 1)
+    assert len(calls) == 1
 
 
 def test_canonical_rep_sign_classes_all_even_powering():

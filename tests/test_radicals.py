@@ -55,6 +55,27 @@ def test_rich_comparisons_and_mixed_operands():
     assert ExactRoot(4000, 2) >= ExactRoot(4000, 2)
 
 
+def test_comparisons_with_nonpositive_rationals():
+    # A positive real never equals a rational <= 0 and always exceeds it.
+    from wpheights import ONE
+
+    assert not ONE == 0 and ONE != 0
+    assert ExactRoot(2) > 0 and ExactRoot(2) >= 0
+    assert not ExactRoot(2, 2) == -1
+    assert not ExactRoot(2) < Fraction(-1, 2) and not ExactRoot(2) <= Fraction(-1, 2)
+    with pytest.raises(ValueError):
+        ExactRoot(3, 2) * 0
+
+
+def test_hash_agrees_with_equal_rationals():
+    assert hash(ExactRoot(2)) == hash(2)
+    assert hash(ExactRoot(9, 2)) == hash(3)
+    assert hash(ExactRoot(Fraction(1, 4), 2)) == hash(Fraction(1, 2))
+    assert len({ExactRoot(2), 2}) == 1
+    assert {2: "x"}.get(ExactRoot(2)) == "x"
+    assert len({ExactRoot(2, 2), ExactRoot(4, 4), ExactRoot(2)}) == 2
+
+
 def test_compare_agrees_with_floats_seeded():
     rng = random.Random(77)
     for _ in range(10_000):
