@@ -9,20 +9,30 @@ q-th root of the Weil height of the powered image under
 with q the product of the weights.  Both routes are implemented exactly: the
 phi reduction (the primary definition here) and the place-by-place product
 (the independent cross-check).  Through lcm(w) the reduction also gives a
-complete enumerator of the points of height at most a bound: scan projective
-points below the powered bound and pull each back, prime by prime with no
-roots, through phi_preimage's kernel on a per-call factor table and cache.
+complete enumerator of the points of height at most a bound: a depth-first
+walk, per support, over the gcd of the powered coordinates, which factors
+nothing and visits a few candidates per class.  phi_preimage pulls a
+projective point back prime by prime with no roots, through a kernel of its
+own.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .factorization import _effort, _factor_positive, factorize, iroot, nth_root_rational
+from .factorization import (
+    _effort,
+    _factor_positive,
+    factorize,
+    iroot,
+    nth_root_rational,
+    primes_up_to,
+)
 from .radicals import ONE, ExactRoot
 from .projective import WeightedPoint, _integral, _unchecked_point
 from .wgcd import WeightSystem, as_weight_system
@@ -185,22 +195,19 @@ def _root_exponents(pattern: tuple[int | None, ...], powering: list[int]) -> tup
 
 
 def _pullback(
-    coords: tuple[int, ...], valuations: list[dict[int, int]], powering: list[int], patterns: dict
+    coords: tuple[int, ...], valuations: list[dict[int, int]], powering: list[int]
 ) -> tuple[int, ...] | None:
     """Integer coordinates of the phi preimage of coords, or None when none exists.
 
     Reads only the signs of coords; valuations[i] factors |coords[i]| (empty
-    for 0), phi raises coordinate i to powering[i], and patterns caches
-    _root_exponents for one powering.  mu = +|mu| unless that makes an
-    even-exponent coordinate negative, then -|mu| unless one turns positive.
+    for 0) and phi raises coordinate i to powering[i].  mu = +|mu| unless
+    that makes an even-exponent coordinate negative, then -|mu| unless one
+    turns positive.
     """
     magnitudes = [1 if c else 0 for c in coords]
     for ell in set().union(*valuations):
         pattern = tuple([v.get(ell, 0) if c else None for c, v in zip(coords, valuations)])
-        try:
-            exponents = patterns[pattern]
-        except KeyError:
-            exponents = patterns[pattern] = _root_exponents(pattern, powering)
+        exponents = _root_exponents(pattern, powering)
         if exponents is None:
             return None
         for i, e in enumerate(exponents):
@@ -223,7 +230,8 @@ def phi_preimage(y: ProjectivePoint, weights: WeightSystem | Iterable[int]) -> W
     take exponent zero, and both signs of mu are tried subject to the parity
     of the powering exponents.  The smallest such mu is a positive integer,
     so the search and the coordinates, built prime by prime with no roots
-    taken, stay integral; bounded_points runs the same kernel on a table.
+    taken, stay integral.  Only this function runs the kernel: bounded_points
+    builds its classes without pulling anything back.
 
     For a normalized y (gcd 1, first nonzero coordinate positive, as every
     ProjectivePoint is) the result is canonical_rep of its class:
@@ -243,7 +251,7 @@ def phi_preimage(y: ProjectivePoint, weights: WeightSystem | Iterable[int]) -> W
         raise ValueError(f"{len(y.coords)} coordinates but {len(ws)} weights")
     valuations = [_factor_positive(abs(c), _effort.get()) if c else {} for c in y.coords]
     powering = [ws.weight_product // q for q in ws]
-    coords = _pullback(y.coords, valuations, powering, {})
+    coords = _pullback(y.coords, valuations, powering)
     return None if coords is None else _unchecked_point(tuple(map(Fraction, coords)), ws)
 
 
@@ -262,33 +270,55 @@ def _floor_power(bound: ExactRoot, exponent: int) -> int:
     return n
 
 
-def _projective_grid(length: int, box: int) -> Iterator[tuple[int, ...]]:
-    """All gcd-reduced, sign-normalized integer tuples with max |coord| <= box.
+def _walk(
+    exponents: list[int], cap: int, box: int, primes: list[int]
+) -> list[tuple[int, tuple[int, ...]]]:
+    """(h, magnitudes) of every normalized tuple on one support with h <= box.
 
-    Generated in normal form: the position of the first nonzero coordinate,
-    its value in 1..box, then every tail in the box; only the gcd test
-    filters.
+    exponents holds e_k = L / q_k over the support S and cap = L / g_S.  A
+    node is G = prod p**g_p, reached by adding primes in increasing order;
+    it carries c_k = prod p**ceil(g_p / e_k) and D_k = c_k**e_k / G =
+    prod p**d_k with d_k = e_k * ceil(g_p / e_k) - g_p.  Its candidates are
+    x_k = c_k * t_k, 1 <= t_k <= iroot(box // D_k, e_k), and one is kept iff
+    the reduced powers r_k = |x_k|**e_k / G = D_k * t_k**e_k have gcd 1,
+    which says G is exactly gcd_k |x_k|**e_k; then h = max r_k <= box.
     """
-    tails = range(-box, box + 1)
-    for lead in range(length):
-        zeros = (0,) * lead
-        for first in range(1, box + 1):
-            for tail in itertools.product(tails, repeat=length - lead - 1):
-                if math.gcd(first, *tail) == 1:
-                    yield (*zeros, first, *tail)
-
-
-def _factor_table(limit: int, power: int) -> list[dict[int, int]]:
-    """Factorizations of m**power for 0 <= m <= limit (0 and 1: empty), by a prime-power sieve."""
-    table: list[dict[int, int]] = [{} for _ in range(limit + 1)]
-    for p in range(2, limit + 1):
-        if not table[p]:  # no smaller prime divides p
-            q = p
-            while q <= limit:
-                for m in range(q, limit + 1, q):
-                    table[m][p] = table[m].get(p, 0) + power
-                q *= p
-    return table
+    steps = []
+    for g in range(1, cap):
+        # G is exact at p only if some e_k * v_p(x_k) equals g, so e_k | g.
+        if any(g % e == 0 for e in exponents):
+            ceilings = [-(-g // e) for e in exponents]
+            deficits = [e * a - g for e, a in zip(exponents, ceilings)]
+            raised = [(k, f) for k, f in enumerate(deficits) if f]
+            steps.append((ceilings, deficits, raised))
+    found: list[tuple[int, tuple[int, ...]]] = []
+    nodes = [([1] * len(exponents), [1] * len(exponents), 0)]  # (c, D, index of the next prime)
+    while nodes:
+        c, d, start = nodes.pop()
+        combos: list[tuple[int, int, tuple[int, ...]]] = [(0, 0, ())]
+        room = [box // dk for dk in d]
+        for ck, dk, e, s in zip(c, d, exponents, room):
+            column = [(dk * t**e, ck * t) for t in range(1, iroot(s, e) + 1)]
+            combos = [
+                (math.gcd(g, r), r if r > h else h, (*xs, x))
+                for g, h, xs in combos
+                for r, x in column
+            ]
+        found.extend((h, xs) for g, h, xs in combos if g == 1)
+        if start == len(primes) or primes[start] > max(room):
+            continue  # every step raises some D_k by a factor p or more
+        live = steps
+        for i in range(start, len(primes)):
+            p = primes[i]
+            # p**d_k only grows with p: a step dead at p stays dead.
+            live = [step for step in live if all(p**f <= room[k] for k, f in step[2])]
+            if not live:
+                break
+            for ceilings, deficits, _ in live:
+                child_c = [ck * p**a for ck, a in zip(c, ceilings)]
+                child_d = [dk * p**f for dk, f in zip(d, deficits)]
+                nodes.append((child_c, child_d, i + 1))
+    return found
 
 
 def bounded_points(
@@ -297,17 +327,41 @@ def bounded_points(
     """Canonical representatives with weighted height <= bound, with their heights.
 
     Complete by the powered-image reduction through phi_L, with L the lcm of
-    the weights: wh(p)**L is the Weil height of phi_L(p), so every class of
-    height at most B maps to an ordinary projective point y of Weil height at
-    most X = floor(B**L), and all of those are enumerated.  Since
-    phi = (.)**s o phi_L with s = weight_product / L, the classes over y are
-    the phi preimages of y**s, and for a gcd-reduced, sign-normalized y
-    phi_preimage's integer pullback returns the canonical representative.
-    Here it reads y**s factored from a table of 1..X and one cache of
-    valuation patterns, both built per call, so no grid coordinate is
-    factored.  Two grid points reach one class only when their powered images
-    agree, so they share max |y|.  Sorted by (height, coordinates); a bound
-    below 1 lists nothing, since every weighted height is at least 1.
+    the weights and e_i = L / q_i: for the canonical representative x of a
+    class, with support S, g_S = gcd(q_i : i in S) and
+    G = gcd_{i in S} |x_i|**e_i, wh(x)**L is the Weil height of phi_L(x),
+    h = max_{i in S} |x_i|**e_i / G, and the bound reads h <= X =
+    floor(B**L).  canonical_rep divides out every prime p with
+    v_p(x_i) >= q_i / g_S on all of S, that is with e_i * v_p(x_i) >= L / g_S
+    there, so x has normalized magnitudes exactly when every
+    g_p = v_p(G) = min_{i in S} e_i * v_p(x_i) is below L / g_S.  Each
+    support is walked depth first over G (see _walk), which needs only the
+    primes up to X, iroot and gcd, and reaches each class once, from its
+    own (S, G).  Four facts make the walk complete and finite:
+
+    (i) Every prime p of G is at most X.  Were all e_i * v_p(x_i) equal to
+        g_p on S, t = g_p / L would make every t * q_i an integer, hence
+        t * g_S one, so g_p >= L / g_S, against (ii).  So some
+        |x_j|**e_j / G, an integer at most h <= X, is divisible by p.
+    (ii) v_p(G) < L / g_S, the normalization above; G is exact at p only
+        if some e_k divides g_p, so the walk tries only those g_p.
+    (iii) x_i = c_i * t_i with c_i = prod p**ceil(g_p / e_i), since
+        e_i * v_p(x_i) >= g_p; and c_i**e_i >= G with
+        |x_i|**e_i <= h * G <= X * G, so |t_i|**e_i <= X, |t_i| <= B**q_i.
+    (iv) The walk terminates.  lcm(e_i : i in S) = L / g_S, so every
+        g_p < L / g_S leaves some d_k = e_k * ceil(g_p / e_k) - g_p >= 1,
+        and a child (p, g_p) is live iff every box stays nonempty, that is
+        D_k * p**d_k <= X for each k in S.  That fails for p > X and only
+        gets harder as p grows, so each node's prime loop stops at the
+        first prime with no live g_p, and the primes along a path increase.
+        A class's own path passes only live nodes, since the partial
+        products of its D_k divide D_k <= X, and no smaller prime ends a
+        loop before its next one, where its own g_p is live already.
+
+    Signs follow canonical_rep: a coordinate whose exponent
+    weight_product / q_i is even is positive, and when every exponent on S
+    is odd the first coordinate of S is.  Sorted by (height, coordinates);
+    a bound below 1 lists nothing, since every weighted height is at least 1.
     """
     ws = as_weight_system(weights)
     if bound < 1:
@@ -315,22 +369,35 @@ def bounded_points(
     if not isinstance(bound, ExactRoot):
         bound = ExactRoot(Fraction(bound))
     lcm = math.lcm(*ws)
-    power = ws.weight_product // lcm
     box = _floor_power(bound, lcm)
-    table = _factor_table(box, power)
-    powering = [ws.weight_product // q for q in ws]
-    patterns: dict = {}
-    classes: dict[tuple[int, ...], int] = {}
-    for y in _projective_grid(len(ws), box):
-        signs = y if power % 2 else tuple(map(abs, y))  # the signs of y**power
-        rep = _pullback(signs, [table[abs(c)] for c in y], powering, patterns)
-        if rep is not None:
-            classes[rep] = max(map(abs, y))
-    heights = {h: ExactRoot(Fraction(h), lcm) for h in set(classes.values())}
-    fractions = {c: Fraction(c) for c in set(itertools.chain.from_iterable(classes))}
+    primes = primes_up_to(box)
+    product = ws.weight_product
+    classes: list[tuple[int, tuple[int, ...]]] = []
+    for size in range(1, len(ws) + 1):
+        for support in itertools.combinations(range(len(ws)), size):
+            weights_s = [ws[i] for i in support]
+            odd = [(product // q) % 2 == 1 for q in weights_s]
+            options = [(0,)] * len(ws)
+            for i, o in zip(support, odd):
+                options[i] = (1, -1) if o else (1,)
+            if all(odd):
+                options[support[0]] = (1,)  # an all-odd support starts positive
+            # Coordinate i of a class is twist[i] * magnitudes[take[i]], 0 off the support.
+            twists = list(itertools.product(*options))
+            take = [support.index(i) if i in support else 0 for i in range(len(ws))]
+            found = _walk([lcm // q for q in weights_s], lcm // math.gcd(*weights_s), box, primes)
+            for twist in twists:
+                classes.extend(
+                    (h, tuple(map(operator.mul, twist, map(magnitudes.__getitem__, take))))
+                    for h, magnitudes in found
+                )
+    classes.sort()
+    heights = {h: ExactRoot(Fraction(h), lcm) for h in {h for h, _ in classes}}
+    coordinates = set(itertools.chain.from_iterable(rep for _, rep in classes))
+    fractions = {c: Fraction(c) for c in coordinates}
     return [
         (_unchecked_point(tuple(map(fractions.__getitem__, rep)), ws), heights[h])
-        for rep, h in sorted(classes.items(), key=lambda item: (item[1], item[0]))
+        for h, rep in classes
     ]
 
 

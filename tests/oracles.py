@@ -9,11 +9,13 @@ coordinate, gcds divided out through the factoring wgcd/awgcd; the library
 runs one integer clear-and-divide kernel), the equivalence test that
 factors every coordinate ratio (the library combines the ratios by Bezout
 and takes one exact root instead), the pullback that takes integer roots of
-the scaled coordinates (the library builds them prime by prime from cached
-valuation patterns), and the enumerator that canonicalizes every pullback,
-the reference for the one that keys classes on the library's pullback
-directly.  Two helpers only the tests need live here too:
-:func:`plus_valuation` and :func:`factorization_value`.
+the scaled coordinates (the library builds them prime by prime from the
+valuations), the enumerator that canonicalizes every pullback, and
+the lcm-image scan that pulls every projective point of Weil height at most
+floor(B**L) back through the library's kernel on a factor table (the
+library walks the gcd of the powered coordinates instead).  Two helpers only
+the tests need live here too: :func:`plus_valuation` and
+:func:`factorization_value`.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ from wpheights import (
     scale,
     valuation,
 )
-from wpheights.heights import _floor_power
+from wpheights.heights import _floor_power, _pullback
+from wpheights.projective import _unchecked_point
 
 
 def wgcd_brute(coords, weights) -> int:
@@ -301,10 +304,9 @@ def bounded_points_canonicalizing(weights, bound: ExactRoot) -> list[tuple[Weigh
 
     Scans the whole box of Weil height <= floor(B**L), L = lcm(w), filters it
     to gcd-1, sign-normalized tuples, and keys classes on canonical_rep of
-    each phi preimage of y**(q/L), taken by phi_preimage_iroot.  The library
-    enumerator generates the normalized tuples directly and relies on its
-    pullback already returning the canonical representative; this holds it
-    to both.
+    each phi preimage of y**(q/L), taken by phi_preimage_iroot.  It shares
+    neither the library's walk nor the pullback kernel of
+    bounded_points_scan.
     """
     ws = as_weight_system(weights)
     if bound < 1:
@@ -323,3 +325,66 @@ def bounded_points_canonicalizing(weights, bound: ExactRoot) -> list[tuple[Weigh
         classes[rep.coords] = (max(map(abs, y)), rep)
     ordered = sorted(classes.values(), key=lambda entry: (entry[0], entry[1].coords))
     return [(rep, ExactRoot(Fraction(h), lcm)) for h, rep in ordered]
+
+
+def projective_grid(length: int, box: int):
+    """All gcd-reduced, sign-normalized integer tuples with max |coord| <= box.
+
+    Generated in normal form: the position of the first nonzero coordinate,
+    its value in 1..box, then every tail in the box; only the gcd test
+    filters.
+    """
+    tails = range(-box, box + 1)
+    for lead in range(length):
+        zeros = (0,) * lead
+        for first in range(1, box + 1):
+            for tail in itertools.product(tails, repeat=length - lead - 1):
+                if math.gcd(first, *tail) == 1:
+                    yield (*zeros, first, *tail)
+
+
+def factor_table(limit: int, power: int) -> list[dict[int, int]]:
+    """Factorizations of m**power for 0 <= m <= limit (0 and 1: empty), by a prime-power sieve."""
+    table: list[dict[int, int]] = [{} for _ in range(limit + 1)]
+    for p in range(2, limit + 1):
+        if not table[p]:  # no smaller prime divides p
+            q = p
+            while q <= limit:
+                for m in range(q, limit + 1, q):
+                    table[m][p] = table[m].get(p, 0) + power
+                q *= p
+    return table
+
+
+def bounded_points_scan(weights, bound) -> list[tuple[WeightedPoint, ExactRoot]]:
+    """bounded_points by scanning the lcm image, with L = lcm(w).
+
+    Every class of height at most B maps under phi_L to an ordinary
+    projective point y of Weil height at most X = floor(B**L); the classes
+    over y are the phi preimages of y**s, s = weight_product / L, and for a
+    normalized y the library's pullback kernel returns the canonical
+    representative.  Scans every such y, reading y**s from a factor table of
+    1..X.  Same output as the library, whose cost follows the classes
+    instead of the (2X + 1)**n grid.
+    """
+    ws = as_weight_system(weights)
+    if bound < 1:
+        return []
+    if not isinstance(bound, ExactRoot):
+        bound = ExactRoot(Fraction(bound))
+    lcm = math.lcm(*ws)
+    power = ws.weight_product // lcm
+    box = _floor_power(bound, lcm)
+    table = factor_table(box, power)
+    powering = [ws.weight_product // q for q in ws]
+    classes: dict[tuple[int, ...], int] = {}
+    for y in projective_grid(len(ws), box):
+        signs = y if power % 2 else tuple(map(abs, y))  # the signs of y**power
+        rep = _pullback(signs, [table[abs(c)] for c in y], powering)
+        if rep is not None:
+            classes[rep] = max(map(abs, y))
+    heights = {h: ExactRoot(Fraction(h), lcm) for h in set(classes.values())}
+    return [
+        (_unchecked_point(tuple(map(Fraction, rep)), ws), heights[h])
+        for rep, h in sorted(classes.items(), key=lambda item: (item[1], item[0]))
+    ]

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,10 @@ import pytest
 from oracles import (
     bounded_classes_brute,
     bounded_points_canonicalizing,
+    bounded_points_scan,
+    factor_table,
     phi_preimage_iroot,
+    projective_grid,
     weil_height_of_raw,
 )
 from wpheights import (
@@ -20,6 +24,7 @@ from wpheights import (
     canonical_rep,
     counting_function,
     enumerate_bounded,
+    iroot,
     kronecker_check,
     log_weighted_height,
     naive_size,
@@ -32,7 +37,6 @@ from wpheights import (
 )
 import wpheights.heights
 from wpheights import factorize
-from wpheights.heights import _factor_table, _projective_grid
 
 
 def test_projective_point_reduces_and_fixes_sign():
@@ -288,7 +292,7 @@ def test_phi_preimage_of_phi_is_canonical_rep_seeded():
 @pytest.mark.parametrize("length", [1, 2, 3, 4])
 @pytest.mark.parametrize("box", [0, 1, 2, 3, 4])
 def test_projective_grid_is_the_filtered_box(length, box):
-    grid = list(_projective_grid(length, box))
+    grid = list(projective_grid(length, box))
     assert len(grid) == len(set(grid))
     filtered = {
         raw
@@ -357,12 +361,12 @@ def test_phi_preimage_matches_iroot_oracle_seeded():
 
 
 def test_factor_table_matches_factorize():
-    table = _factor_table(5000, 1)
+    table = factor_table(5000, 1)
     assert len(table) == 5001
     assert table[0] == {} and table[1] == {}
     for m in range(2, 5001):
         assert table[m] == factorize(m).factors
-    cubed = _factor_table(60, 3)
+    cubed = factor_table(60, 3)
     assert all(cubed[m] == {p: 3 * e for p, e in table[m].items()} for m in range(61))
 
 
@@ -371,17 +375,97 @@ def test_factor_table_matches_factorize():
     [
         ((2, 3), ExactRoot(2), 5040, "387e4e009f6558a05addbf83d424e8ff4a9cb86b58e9a16f48ad9ee6c608da76"),
         ((1, 2, 3), ExactRoot(10, 6), 166, "efbcdfdc872b00d90d130ab33347a5a6b90f45a4f1a53dc4f804399fd2d2b4b5"),
+        ((1, 2, 3), ExactRoot(2), 5348, "ee7d926563ff0c02050095d329faf56b8de4e583f3d412925abf34c777ca4441"),
+        ((2, 4, 6, 10), ExactRoot(10, 60), 23, "06f78dbdff2c72428d3cd675c8a25cd37c6b178cbfbbf268706fdded85c7992f"),
     ],
-    ids=["w2,3-B2", "w1,2,3-B10^(1/6)"],
+    ids=["w2,3-B2", "w1,2,3-B10^(1/6)", "w1,2,3-B2", "w2,4,6,10-B10^(1/60)"],
 )
 def test_enumeration_factors_no_grid_coordinate(monkeypatch, weights, bound, classes, digest):
-    # The grid is factored from a per-call table; only the heights and the
-    # bound go through ExactRoot's own factoring.
+    # The walk factors no coordinate; only the heights and the bound go
+    # through ExactRoot's own factoring.  The last two cases were pinned from
+    # the lcm-image scan, which takes seconds on them (its grid holds about
+    # 10**6 and 9 * 10**4 points); the walk stays far inside the budget.
     def refuse(n, config):
         raise AssertionError(f"factored grid coordinate {n}")
 
     monkeypatch.setattr(wpheights.heights, "_factor_positive", refuse)
+    start = time.process_time()
     listing = bounded_points(weights, bound)
+    assert time.process_time() - start < 2.0
     text = "".join(f"{point} h={height}\n" for point, height in listing)
     assert len(listing) == classes
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _random_bound(rng: random.Random, lcm: int, cap: int):
+    """A bound B with floor(B**lcm) <= cap, in one of the forms callers pass."""
+    x = rng.randint(1, cap)
+    kind = rng.randrange(5)
+    if kind == 0:
+        return ExactRoot(x, lcm)  # B**L = x
+    if kind == 1:
+        return ExactRoot(Fraction(10 * x + rng.randint(1, 9), 10), lcm)  # B**L not integral
+    if kind == 2:
+        return ExactRoot(rng.randint(1, x * x), 2 * lcm)  # B**L = sqrt(r), mostly irrational
+    if kind == 3:
+        return ExactRoot(Fraction(rng.randint(1, x**3), rng.randint(1, 3)), 3 * lcm)
+    quarters = rng.randint(4, 4 * iroot(cap, lcm))  # a plain rational with B**L <= cap
+    return Fraction(quarters, 4) if quarters % 4 else quarters // 4
+
+
+def test_walk_matches_lcm_scan_seeded():
+    # The walk against the scan it replaced, on the listing text (coordinates,
+    # exact heights, order).  Caps keep the scan's (2X + 1)**n grid small.
+    rng = random.Random(8080)
+    shared = [(2, 4), (4, 6), (6, 8), (2, 6), (2, 2, 4), (3, 3, 6), (2, 4, 6), (6, 10, 15), (2, 4, 6, 10)]
+    caps = {1: 300, 2: 100, 3: 12, 4: 4}
+    lengths = classes = 0
+    for trial in range(200):
+        if trial % 4 == 0:
+            weights = rng.choice(shared)
+        else:
+            weights = tuple(rng.randint(1, 6) for _ in range(rng.randint(1, 4)))
+        lcm = math.lcm(*weights)
+        bound = 1 if trial % 16 == 1 else _random_bound(rng, lcm, caps[len(weights)])
+        listing = bounded_points(weights, bound)
+        expected = bounded_points_scan(weights, bound)
+        assert listing == expected, (weights, bound)
+        assert [(str(p), str(h)) for p, h in listing] == [(str(p), str(h)) for p, h in expected]
+        lengths |= 1 << len(weights)
+        classes += len(listing)
+    assert lengths == 0b11110 and classes > 100000
+
+
+def _totients(limit: int) -> list[int]:
+    """phi(k) for 0 <= k <= limit, by a sieve."""
+    phi_k = list(range(limit + 1))
+    for p in range(2, limit + 1):
+        if phi_k[p] == p:  # p is prime
+            for m in range(p, limit + 1, p):
+                phi_k[m] -= phi_k[m] // p
+    return phi_k
+
+
+@pytest.mark.parametrize(
+    "weights, sizes",
+    [
+        ((1, 1), (1, 2, 30)),
+        ((1, 2), (1, 7, 40)),
+        ((2, 3), (1, 16, 64, 256)),
+        ((3, 4), (1, 108)),
+        ((5, 7), (1, 200)),
+    ],
+)
+def test_counting_function_coprime_pairs_is_the_totient_sum(weights, sizes):
+    # For n = 1 and coprime weights phi_L is a bijection onto P^1(Q), so the
+    # classes of height <= B match the projective points of Weil height <= X =
+    # floor(B**L).  Height 1 holds four ([0:1], [1:0], [1:1], [1:-1]) and each
+    # height k >= 2 holds 4 * phi(k) ([k:b] and [b:k] with 0 < |b| < k prime
+    # to k), so there are 4 * sum_{k <= X} phi(k) classes.
+    lcm = math.lcm(*weights)
+    totients = _totients(max(sizes))
+    pinned = {30: 1112, 40: 1960, 64: 5040, 108: 14272, 200: 48928, 256: 79792}
+    for x in sizes:
+        expected = 4 * sum(totients[1 : x + 1])
+        assert pinned.get(x, expected) == expected
+        assert counting_function(weights, ExactRoot(x, lcm)) == expected
