@@ -14,17 +14,62 @@ share between threads.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from bisect import bisect_right
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
 
 class IncompleteFactorizationError(RuntimeError):
     """A composite cofactor survived the configured factoring effort."""
+
+
+class _Value:
+    """Base of the immutable value classes: fields are the subclass's __slots__.
+
+    Equality and hashing go through the tuple of fields, equality only
+    between objects of the same class; the repr is ClassName(field=value, ...).
+    Assignment and deletion raise AttributeError, so constructors set their
+    fields with object.__setattr__; copy, deepcopy and pickle move the field
+    tuple through __getstate__ and __setstate__.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        names = cls.__slots__
+        get = operator.attrgetter(*names)
+        cls._fields = staticmethod(get if len(names) > 1 else lambda obj: (get(obj),))
+        cls.__match_args__ = names
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields(self) == self._fields(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __repr__(self) -> str:
+        pairs = zip(self.__slots__, self._fields(self))
+        return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in pairs)})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __getstate__(self) -> tuple:
+        return self._fields(self)
+
+    def __setstate__(self, state: tuple) -> None:
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
 
 
 # Largest n for which the fixed Miller-Rabin base set below is a proven
@@ -36,8 +81,7 @@ _MR_PROVEN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _BASE_TRIAL_LIMIT = 1 << 12
 
 
-@dataclass(frozen=True)
-class FactorConfig:
+class FactorConfig(_Value):
     """Effort knobs for :func:`factorize`.
 
     trial_bound caps the trial-division sweep, rho_iterations the cycle
@@ -46,10 +90,23 @@ class FactorConfig:
     runs deterministic while still randomizing the polynomial constants.
     """
 
-    trial_bound: int = 10**6
-    rho_iterations: int = 1 << 18
-    rho_attempts: int = 32
-    seed: int = 0
+    __slots__ = ("trial_bound", "rho_iterations", "rho_attempts", "seed")
+    trial_bound: int
+    rho_iterations: int
+    rho_attempts: int
+    seed: int
+
+    def __init__(
+        self,
+        trial_bound: int = 10**6,
+        rho_iterations: int = 1 << 18,
+        rho_attempts: int = 32,
+        seed: int = 0,
+    ) -> None:
+        object.__setattr__(self, "trial_bound", trial_bound)
+        object.__setattr__(self, "rho_iterations", rho_iterations)
+        object.__setattr__(self, "rho_attempts", rho_attempts)
+        object.__setattr__(self, "seed", seed)
 
 
 _effort: ContextVar[FactorConfig] = ContextVar("factor_config", default=FactorConfig())
@@ -250,8 +307,7 @@ def _factor_positive(n: int, config: FactorConfig) -> dict[int, int]:
     return factors
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(_Value):
     """Signed prime-power decomposition of a nonzero rational.
 
     sign is +1 or -1; factors maps each prime to its nonzero exponent
@@ -259,17 +315,21 @@ class Factorization:
     sign * prod(p**e).
     """
 
+    __slots__ = ("sign", "factors")
     sign: int
-    factors: dict[int, int] = field(default_factory=dict)
+    factors: dict[int, int]
 
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-        for p, e in self.factors.items():
+    def __init__(self, sign: int, factors: dict[int, int] | None = None) -> None:
+        factors = {} if factors is None else factors
+        if sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {sign}")
+        for p, e in factors.items():
             if e == 0:
                 raise ValueError(f"exponent of {p} is zero")
             if not is_prime(p):
                 raise ValueError(f"factor key {p} is not prime")
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "factors", factors)
 
     def __str__(self) -> str:
         if not self.factors:
@@ -297,8 +357,11 @@ def factorize(value: int | Fraction, config: FactorConfig | None = None) -> Fact
     factors = _factor_positive(abs(value.numerator), config)
     for p, e in _factor_positive(value.denominator, config).items():
         factors[p] = factors.get(p, 0) - e
-    factors = {p: e for p, e in factors.items() if e != 0}
-    return Factorization(sign, factors)
+    # Every key is a prime the pipeline has just proven: skip the constructor's checks.
+    result = object.__new__(Factorization)
+    object.__setattr__(result, "sign", sign)
+    object.__setattr__(result, "factors", {p: e for p, e in factors.items() if e != 0})
+    return result
 
 
 def valuation(value: int | Fraction, p: int) -> int:

@@ -21,11 +21,11 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 from .factorization import (
+    _Value,
     _effort,
     _factor_positive,
     factorize,
@@ -38,14 +38,14 @@ from .projective import WeightedPoint, _integral, _unchecked_point
 from .wgcd import WeightSystem, as_weight_system
 
 
-@dataclass(frozen=True)
-class ProjectivePoint:
+class ProjectivePoint(_Value):
     """Integer projective coordinates with gcd 1, first nonzero positive.
 
     Construction normalizes: rational input is scaled to integers, divided
     by the gcd, and sign-flipped so the first nonzero coordinate is positive.
     """
 
+    __slots__ = ("coords",)
     coords: tuple[int, ...]
 
     def __init__(self, coords: Iterable[int | Fraction]) -> None:
@@ -126,8 +126,7 @@ def log_weighted_height(p: WeightedPoint) -> float:
     return weighted_height(p).log()
 
 
-@dataclass(frozen=True)
-class KroneckerResult:
+class KroneckerResult(_Value):
     """Outcome of the height-one test.
 
     height_is_one is the exact statement wh(p) == 1; ratio_condition reports
@@ -135,8 +134,13 @@ class KroneckerResult:
     (up to sign) with every ratio x_j / xi**q_j in {0, 1, -1}.
     """
 
+    __slots__ = ("height_is_one", "ratio_condition")
     height_is_one: bool
     ratio_condition: bool
+
+    def __init__(self, height_is_one: bool, ratio_condition: bool) -> None:
+        object.__setattr__(self, "height_is_one", height_is_one)
+        object.__setattr__(self, "ratio_condition", ratio_condition)
 
     def __bool__(self) -> bool:
         return self.height_is_one
@@ -344,7 +348,10 @@ def bounded_points(
         t * g_S one, so g_p >= L / g_S, against (ii).  So some
         |x_j|**e_j / G, an integer at most h <= X, is divisible by p.
     (ii) v_p(G) < L / g_S, the normalization above; G is exact at p only
-        if some e_k divides g_p, so the walk tries only those g_p.
+        if some e_k divides g_p, so the walk tries only those g_p.  On a
+        one-coordinate support L / g_S = e_i divides g_p = e_i * v_p(x_i),
+        so G = |x_i|**e_i = 1: the class is the unit vector with h = 1,
+        emitted without a walk, and a single weight needs no primes.
     (iii) x_i = c_i * t_i with c_i = prod p**ceil(g_p / e_i), since
         e_i * v_p(x_i) >= g_p; and c_i**e_i >= G with
         |x_i|**e_i <= h * G <= X * G, so |t_i|**e_i <= X, |t_i| <= B**q_i.
@@ -370,7 +377,7 @@ def bounded_points(
         bound = ExactRoot(Fraction(bound))
     lcm = math.lcm(*ws)
     box = _floor_power(bound, lcm)
-    primes = primes_up_to(box)
+    primes = primes_up_to(box) if len(ws) > 1 else []  # only a longer support takes a prime
     product = ws.weight_product
     classes: list[tuple[int, tuple[int, ...]]] = []
     for size in range(1, len(ws) + 1):
@@ -385,7 +392,10 @@ def bounded_points(
             # Coordinate i of a class is twist[i] * magnitudes[take[i]], 0 off the support.
             twists = list(itertools.product(*options))
             take = [support.index(i) if i in support else 0 for i in range(len(ws))]
-            found = _walk([lcm // q for q in weights_s], lcm // math.gcd(*weights_s), box, primes)
+            if size == 1:
+                found = [(1, (1,))]  # the unit vector, see (ii)
+            else:
+                found = _walk([lcm // q for q in weights_s], lcm // math.gcd(*weights_s), box, primes)
             for twist in twists:
                 classes.extend(
                     (h, tuple(map(operator.mul, twist, map(magnitudes.__getitem__, take))))

@@ -24,19 +24,18 @@ rational scaling witness, so :func:`equivalent` is the strictly finer test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .factorization import factorize, nth_root_rational
+from .factorization import _Value, factorize, nth_root_rational
 from .radicals import ExactRoot
 from .wgcd import WeightSystem, WeightedTuple, _recombine, as_weight_system
 
 
-@dataclass(frozen=True)
-class WeightedPoint:
+class WeightedPoint(_Value):
     """Rational coordinates bound to a weight system; not all zero."""
 
+    __slots__ = ("coords", "weights")
     coords: tuple[Fraction, ...]
     weights: WeightSystem
 
@@ -238,21 +237,29 @@ def is_well_formed(weights: WeightSystem | Iterable[int]) -> bool:
     return all(math.gcd(*ws[:i], *ws[i + 1 :]) == 1 for i in range(len(ws)))
 
 
-@dataclass(frozen=True)
-class WellFormingStep:
+class WellFormingStep(_Value):
     """One truncation: divide the weights by divisor, except a kept pivot.
 
     pivot None means the all-weights step (every weight divided).
     """
 
+    __slots__ = ("divisor", "pivot")
     divisor: int
     pivot: int | None
 
+    def __init__(self, divisor: int, pivot: int | None) -> None:
+        object.__setattr__(self, "divisor", divisor)
+        object.__setattr__(self, "pivot", pivot)
 
-@dataclass(frozen=True)
-class WellFormingResult:
+
+class WellFormingResult(_Value):
+    __slots__ = ("new_weights", "steps")
     new_weights: WeightSystem
     steps: tuple[WellFormingStep, ...]
+
+    def __init__(self, new_weights: WeightSystem, steps: tuple[WellFormingStep, ...]) -> None:
+        object.__setattr__(self, "new_weights", new_weights)
+        object.__setattr__(self, "steps", steps)
 
 
 def well_form(weights: WeightSystem | Iterable[int]) -> WellFormingResult:

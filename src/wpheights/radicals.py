@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from typing import Mapping
 
-from .factorization import factorize
+from .factorization import _Value, factorize
 
 
 def _canonical_parts(radicand: Fraction, index: int) -> tuple[Fraction, int]:
@@ -39,19 +38,19 @@ def _canonical_parts(radicand: Fraction, index: int) -> tuple[Fraction, int]:
     return new_radicand, new_index
 
 
-@dataclass(frozen=True)
-class ExactRoot:
+class ExactRoot(_Value):
     """The positive real radicand**(1/index), kept in canonical form.
 
     Construction canonicalizes, so ExactRoot(8, 6) == ExactRoot(2, 2) and
     the value 1 is always ExactRoot(1, 1).
     """
 
+    __slots__ = ("radicand", "index")
     radicand: Fraction
-    index: int = 1
+    index: int
 
-    def __post_init__(self) -> None:
-        radicand, index = _canonical_parts(Fraction(self.radicand), int(self.index))
+    def __init__(self, radicand: Fraction | int, index: int = 1) -> None:
+        radicand, index = _canonical_parts(Fraction(radicand), int(index))
         object.__setattr__(self, "radicand", radicand)
         object.__setattr__(self, "index", index)
 

@@ -14,18 +14,17 @@ the all-zero tuple is rejected.  Signs are ignored: divisors are positive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .factorization import _extract, factorize
+from .factorization import _Value, _extract, factorize
 from .radicals import ExactRoot
 
 
-@dataclass(frozen=True)
-class WeightSystem:
+class WeightSystem(_Value):
     """Positive integer weights with their derived gcd, product, and reduction."""
 
+    __slots__ = ("weights",)
     weights: tuple[int, ...]
 
     def __init__(self, weights: Iterable[int]) -> None:
@@ -68,10 +67,10 @@ def as_weight_system(weights: WeightSystem | Iterable[int]) -> WeightSystem:
     return WeightSystem(weights)
 
 
-@dataclass(frozen=True)
-class WeightedTuple:
+class WeightedTuple(_Value):
     """Integer coordinates bound to a weight system; not all zero."""
 
+    __slots__ = ("coords", "weights")
     coords: tuple[int, ...]
     weights: WeightSystem
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wpheights.factorization
 from oracles import factorization_value, plus_valuation
 from wpheights import (
     FactorConfig,
@@ -68,6 +69,16 @@ def test_factorization_type_rejects_bad_input():
         Factorization(1, {3: 0})
     with pytest.raises(ValueError):
         Factorization(2, {})
+
+
+def test_factorize_does_not_reprove_its_primes(monkeypatch):
+    # The pipeline proves each prime it finds; only outside callers of the
+    # constructor pay for the check again.
+    calls = []
+    proven = wpheights.factorization.is_prime
+    monkeypatch.setattr(wpheights.factorization, "is_prime", lambda n: calls.append(n) or proven(n))
+    assert factorize(2**10 * 3**5) == Factorization(1, {2: 10, 3: 5})
+    assert calls == [2, 3]  # both from the constructor on the right
 
 
 def test_incomplete_factorization_is_an_error_not_a_wrong_answer():

@@ -397,6 +397,21 @@ def test_enumeration_factors_no_grid_coordinate(monkeypatch, weights, bound, cla
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("weights, bound", [((1,), 10**5), ((3,), 1000)])
+def test_single_weight_lists_the_unit_vector_without_a_walk(monkeypatch, weights, bound):
+    # X = 10**5 and 10**9: a walk would test X candidates, a sieve to X
+    # would hold every prime below it.
+    def refuse(*args):
+        raise AssertionError("a one-coordinate support was walked or sieved")
+
+    monkeypatch.setattr(wpheights.heights, "_walk", refuse)
+    monkeypatch.setattr(wpheights.heights, "primes_up_to", refuse)
+    start = time.process_time()
+    listing = bounded_points(weights, bound)
+    assert time.process_time() - start < 1.0
+    assert listing == [(WeightedPoint((1,), weights), ExactRoot(1))]
+
+
 def _random_bound(rng: random.Random, lcm: int, cap: int):
     """A bound B with floor(B**lcm) <= cap, in one of the forms callers pass."""
     x = rng.randint(1, cap)
