@@ -275,7 +275,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.factor_bound is not None or args.seed is not None:
         effort = factor_config(
             FactorConfig(
-                trial_bound=args.factor_bound or FactorConfig.trial_bound,
+                trial_bound=args.factor_bound or FactorConfig().trial_bound,
                 seed=args.seed or 0,
             )
         )

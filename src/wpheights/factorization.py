@@ -30,11 +30,13 @@ class IncompleteFactorizationError(RuntimeError):
 class _Value:
     """Base of the immutable value classes: fields are the subclass's __slots__.
 
-    Equality and hashing go through the tuple of fields, equality only
-    between objects of the same class; the repr is ClassName(field=value, ...).
-    Assignment and deletion raise AttributeError, so constructors set their
-    fields with object.__setattr__; copy, deepcopy and pickle move the field
-    tuple through __getstate__ and __setstate__.
+    The default constructor takes one argument per field, in slot order, by
+    position or by name.  Equality and hashing go through the tuple of
+    fields, equality only between objects of the same class; the repr is
+    ClassName(field=value, ...).  Assignment and deletion raise
+    AttributeError, so constructors set their fields with object.__setattr__;
+    copy, deepcopy and pickle move the field tuple through __getstate__ and
+    __setstate__.
     """
 
     __slots__ = ()
@@ -45,6 +47,20 @@ class _Value:
         get = operator.attrgetter(*names)
         cls._fields = staticmethod(get if len(names) > 1 else lambda obj: (get(obj),))
         cls.__match_args__ = names
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        names = self.__slots__
+        if len(args) > len(names):
+            raise TypeError(f"{type(self).__name__} takes {len(names)} arguments, got {len(args)}")
+        values = list(args)
+        for name in names[len(args) :]:
+            if name not in kwargs:
+                raise TypeError(f"{type(self).__name__} is missing the argument {name!r}")
+            values.append(kwargs.pop(name))
+        if kwargs:
+            raise TypeError(f"{type(self).__name__} got unexpected arguments {sorted(kwargs)}")
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -67,7 +83,12 @@ class _Value:
     def __getstate__(self) -> tuple:
         return self._fields(self)
 
-    def __setstate__(self, state: tuple) -> None:
+    def __setstate__(self, state: tuple | dict) -> None:
+        if isinstance(state, dict) and state.keys() == set(self.__slots__):
+            # Pickled by earlier versions, whose state was the instance __dict__.
+            state = tuple(state[name] for name in self.__slots__)
+        if not isinstance(state, tuple) or len(state) != len(self.__slots__):
+            raise TypeError(f"cannot restore {type(self).__name__} from {state!r}")
         for name, value in zip(self.__slots__, state):
             object.__setattr__(self, name, value)
 
@@ -255,7 +276,7 @@ def _factor_positive(n: int, config: FactorConfig) -> dict[int, int]:
     factors: dict[int, int] = {}
     if n == 1:
         return factors
-    sweep_limit = min(config.trial_bound, _BASE_TRIAL_LIMIT)
+    sweep_limit = max(0, min(config.trial_bound, _BASE_TRIAL_LIMIT))
     for p in _small_primes(sweep_limit):
         if p * p > n:
             break

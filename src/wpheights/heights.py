@@ -138,10 +138,6 @@ class KroneckerResult(_Value):
     height_is_one: bool
     ratio_condition: bool
 
-    def __init__(self, height_is_one: bool, ratio_condition: bool) -> None:
-        object.__setattr__(self, "height_is_one", height_is_one)
-        object.__setattr__(self, "ratio_condition", ratio_condition)
-
     def __bool__(self) -> bool:
         return self.height_is_one
 

@@ -247,19 +247,11 @@ class WellFormingStep(_Value):
     divisor: int
     pivot: int | None
 
-    def __init__(self, divisor: int, pivot: int | None) -> None:
-        object.__setattr__(self, "divisor", divisor)
-        object.__setattr__(self, "pivot", pivot)
-
 
 class WellFormingResult(_Value):
     __slots__ = ("new_weights", "steps")
     new_weights: WeightSystem
     steps: tuple[WellFormingStep, ...]
-
-    def __init__(self, new_weights: WeightSystem, steps: tuple[WellFormingStep, ...]) -> None:
-        object.__setattr__(self, "new_weights", new_weights)
-        object.__setattr__(self, "steps", steps)
 
 
 def well_form(weights: WeightSystem | Iterable[int]) -> WellFormingResult:

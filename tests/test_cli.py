@@ -34,6 +34,19 @@ def test_golden_outputs(capsys, argv, golden):
     assert out == (GOLDEN / golden).read_text()
 
 
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (("wgcd", "-w", "3,2", "--seed", "1", "1440,700"), "wgcd_text.txt"),
+        (("height", "-w", "2,4", "--seed", "7", "--records", "15,175"), "height_records.txt"),
+    ],
+)
+def test_seed_alone_keeps_the_default_bound(capsys, argv, golden):
+    status, out, err = run(capsys, *argv)
+    assert status == 0 and err == ""
+    assert out == (GOLDEN / golden).read_text()
+
+
 def test_awgcd_and_rational_dispatch(capsys):
     status, out, _ = run(capsys, "awgcd", "-w", "6,8", "8000000000000,81920000000000000")
     assert status == 0 and out == "root(4000,2)\n"

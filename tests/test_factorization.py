@@ -81,6 +81,15 @@ def test_factorize_does_not_reprove_its_primes(monkeypatch):
     assert calls == [2, 3]  # both from the constructor on the right
 
 
+@pytest.mark.parametrize("bound", [-10, -4, -1, 0, 1])
+def test_factorize_below_the_smallest_prime_bound_is_still_exact(bound):
+    # A bound under 2 sweeps no primes, so no cofactor is prime by the
+    # square-of-the-sweep rule; every key must still come out prime.
+    config = FactorConfig(trial_bound=bound)
+    for n in (4, 8, 9, 25, 49, 80, 97, 1440):
+        assert factorize(n, config).factors == factorize(n).factors
+
+
 def test_incomplete_factorization_is_an_error_not_a_wrong_answer():
     starved = FactorConfig(trial_bound=10, rho_iterations=2, rho_attempts=0)
     with pytest.raises(IncompleteFactorizationError):

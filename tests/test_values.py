@@ -132,6 +132,45 @@ def test_copy_deepcopy_and_pickle_round_trip(build, text):
         assert type(twin) is type(value) and twin == value and repr(twin) == text
 
 
+def test_default_constructor_takes_fields_by_position_or_name():
+    assert WellFormingStep(divisor=2, pivot=None) == WellFormingStep(2, pivot=None) == WellFormingStep(2, None)
+    for args, kwargs in [((2,), {}), ((2, None, 1), {}), ((2,), {"pivot": 1, "other": 0})]:
+        with pytest.raises(TypeError):
+            WellFormingStep(*args, **kwargs)
+
+
+# Pickles written by the frozen-dataclass versions, whose state was __dict__.
+DATACLASS_PICKLES = [
+    (
+        b"\x80\x04\x95\xaf\x00\x00\x00\x00\x00\x00\x00\x8c\x14wpheights.projective\x94\x8c\rWeightedPoint"
+        b"\x94\x93\x94)\x81\x94}\x94(\x8c\x06coords\x94\x8c\tfractions\x94\x8c\x08Fraction\x94\x93\x94K"
+        b"\x01K\x02\x86\x94R\x94h\x08K\x00K\x01\x86\x94R\x94h\x08K\x03K\x01\x86\x94R\x94\x87\x94\x8c"
+        b"\x07weights\x94\x8c\x0ewpheights.wgcd\x94\x8c\x0cWeightSystem\x94\x93\x94)\x81\x94}\x94h\x10K"
+        b"\x01K\x02K\x03\x87\x94sbub.",
+        WeightedPoint(("1/2", 0, 3), (1, 2, 3)),
+    ),
+    (
+        b"\x80\x04\x95[\x00\x00\x00\x00\x00\x00\x00\x8c\x17wpheights.factorization\x94\x8c\r"
+        b"Factorization\x94\x93\x94)\x81\x94}\x94(\x8c\x04sign\x94J\xff\xff\xff\xff\x8c\x07factors"
+        b"\x94}\x94(K\x02K\x05K\x03K\x02K\x05K\x01uub.",
+        factorize(-1440),
+    ),
+]
+
+
+@pytest.mark.parametrize("data, value", DATACLASS_PICKLES, ids=["WeightedPoint", "Factorization"])
+def test_dataclass_pickles_still_load(data, value):
+    loaded = pickle.loads(data)
+    assert type(loaded) is type(value) and loaded == value and repr(loaded) == repr(value)
+
+
+@pytest.mark.parametrize("state", [{"weight": (2, 3)}, ((2, 3), 1), [(2, 3)], "weights"])
+def test_foreign_state_is_refused(state):
+    blank = WeightSystem.__new__(WeightSystem)
+    with pytest.raises(TypeError):
+        blank.__setstate__(state)
+
+
 def test_fields_match_positionally():
     match WellFormingStep(3, 1):
         case WellFormingStep(divisor, pivot):
