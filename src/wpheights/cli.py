@@ -87,138 +87,103 @@ def _parse_bound(text: str) -> ExactRoot:
 
 
 def _weighted_point(text: str, weights: WeightSystem) -> WeightedPoint:
-    """Parse a coordinate tuple, one per weight and not all zero."""
+    """Parse a coordinate tuple, one coordinate per weight."""
     coords = _parse_tuple(text)
     if len(coords) != len(weights):
         raise CommandError(
             "length error", f"{len(coords)} coordinates but {len(weights)} weights"
         )
-    if not any(coords):
-        raise CommandError("domain error", "all coordinates are zero")
     return WeightedPoint(coords, weights)
 
 
-def _fmt_point(coords) -> str:
-    return "[" + ":".join(str(c) for c in coords) + "]"
+def _value(call, key: str, render=str):
+    """A command printing one value: as itself, or as the record key=value."""
+
+    def run(*operands):
+        text = render(call(*operands))
+        return [text], [f"{key}={text}"]
+
+    return run
 
 
-def _emit(args, text_value: str, records: list[str]) -> None:
-    if args.records:
-        for line in records:
-            print(line)
-    else:
-        print(text_value)
-
-
-def _cmd_wgcd(args) -> None:
-    point = _weighted_point(args.coords, args.weights)
-    value = generalized_wgcd(point.coords, point.weights)
-    _emit(args, str(value), [f"wgcd={value}"])
-
-
-def _cmd_awgcd(args) -> None:
-    point = _weighted_point(args.coords, args.weights)
-    value = generalized_awgcd(point.coords, point.weights)
-    _emit(args, str(value), [f"awgcd={value}"])
-
-
-def _cmd_normalize(args) -> None:
-    point = _weighted_point(args.coords, args.weights)
+def _normalize(point: WeightedPoint) -> WeightedPoint:
     if not point.is_integral:
         raise CommandError("domain error", "normalize needs integer coordinates")
-    reduced = normalize(point)
-    _emit(args, _fmt_point(reduced.coords), [f"point={_fmt_point(reduced.coords)}"])
+    return normalize(point)
 
 
-def _cmd_canon(args) -> None:
-    point = _weighted_point(args.coords, args.weights)
-    rep = canonical_rep(point)
-    _emit(args, _fmt_point(rep.coords), [f"point={_fmt_point(rep.coords)}"])
-
-
-def _cmd_equiv(args) -> None:
-    first = _weighted_point(args.coords, args.weights)
-    second = _weighted_point(args.other, args.weights)
+def _equiv(first: WeightedPoint, second: WeightedPoint):
     witness = equivalent(first, second)
     if witness is None:
-        _emit(args, "not equivalent", ["equivalent=false"])
-    else:
-        _emit(args, str(witness), ["equivalent=true", f"lambda={witness}"])
+        return ["not equivalent"], ["equivalent=false"]
+    return [str(witness)], ["equivalent=true", f"lambda={witness}"]
 
 
-def _cmd_size(args) -> None:
-    point = _weighted_point(args.coords, args.weights)
-    value = naive_size(point)
-    _emit(args, str(value), [f"size={value}"])
+def _preimage(point: WeightedPoint):
+    found = phi_preimage(ProjectivePoint(point.coords), point.weights)
+    if found is None:
+        return ["none"], ["found=false"]
+    return [str(found)], ["found=true", f"point={found}"]
 
 
-def _cmd_height(args) -> None:
-    point = _weighted_point(args.coords, args.weights)
-    value = weighted_height(point)
-    _emit(args, str(value), [f"height={value}"])
+def _enumerate(weights: WeightSystem, bound: ExactRoot):
+    # Lazy lines: only the chosen form is rendered, one line at a time.
+    listing = bounded_points(weights, bound)
+    return (
+        (f"{point} h={height}" for point, height in listing),
+        (f"point={point} height={height}" for point, height in listing),
+    )
 
 
-def _cmd_logheight(args) -> None:
-    point = _weighted_point(args.coords, args.weights)
-    value = log_weighted_height(point)
-    _emit(args, f"{value:.15g}", [f"logheight={value:.15g}"])
-
-
-def _cmd_phi(args) -> None:
-    point = _weighted_point(args.coords, args.weights)
-    image = phi(point)
-    _emit(args, _fmt_point(image.coords), [f"point={_fmt_point(image.coords)}"])
-
-
-def _cmd_preimage(args) -> None:
-    target = ProjectivePoint(_weighted_point(args.coords, args.weights).coords)
-    point = phi_preimage(target, args.weights)
-    if point is None:
-        _emit(args, "none", ["found=false"])
-    else:
-        _emit(args, _fmt_point(point.coords), ["found=true", f"point={_fmt_point(point.coords)}"])
-
-
-def _cmd_enumerate(args) -> None:
-    listing = bounded_points(args.weights, args.bound)
-    if args.records:
-        for point, height in listing:
-            print(f"point={_fmt_point(point.coords)} height={height}")
-    else:
-        for point, height in listing:
-            print(f"{_fmt_point(point.coords)} h={height}")
-
-
-def _cmd_count(args) -> None:
-    value = counting_function(args.weights, args.bound)
-    _emit(args, str(value), [f"count={value}"])
-
-
-def _cmd_wellform(args) -> None:
-    result = well_form(args.weights)
+def _wellform(weights: WeightSystem):
+    result = well_form(weights)
     new_weights = ",".join(str(q) for q in result.new_weights)
-    if args.records:
-        print(f"weights={new_weights}")
-        for step in result.steps:
-            pivot = "global" if step.pivot is None else str(step.pivot)
-            print(f"step d={step.divisor} pivot={pivot}")
-    else:
-        print(new_weights)
-        for step in result.steps:
-            where = "all weights" if step.pivot is None else f"all but index {step.pivot}"
-            print(f"step: divide {where} by {step.divisor}")
+    text, records = [new_weights], [f"weights={new_weights}"]
+    for step in result.steps:
+        where = "all weights" if step.pivot is None else f"all but index {step.pivot}"
+        pivot = "global" if step.pivot is None else step.pivot
+        text.append(f"step: divide {where} by {step.divisor}")
+        records.append(f"step d={step.divisor} pivot={pivot}")
+    return text, records
 
 
-def _cmd_kronecker(args) -> None:
-    point = _weighted_point(args.coords, args.weights)
+def _kronecker(point: WeightedPoint):
     result = kronecker_check(point)
     height_one = "true" if result.height_is_one else "false"
     condition = "true" if result.ratio_condition else "false"
-    _emit(
-        args,
-        f"{height_one} (ratio condition: {condition})",
+    return (
+        [f"{height_one} (ratio condition: {condition})"],
         [f"height_one={height_one}", f"ratio_condition={condition}"],
     )
+
+
+_POINT = ("X0,X1,...",)
+_BOUND = ("-B",)
+
+# name: (help, operands, run).  The operands are coordinate tuples, given by
+# their metavars, or the bound -B, or nothing; run takes them parsed (points,
+# or the weights and the bound, or the weights) and returns the text lines
+# and the key=value records.
+_COMMANDS = {
+    "wgcd": ("weighted gcd of a tuple", _POINT,
+             _value(lambda p: generalized_wgcd(p.coords, p.weights), "wgcd")),
+    "awgcd": ("absolute weighted gcd of a tuple", _POINT,
+              _value(lambda p: generalized_awgcd(p.coords, p.weights), "awgcd")),
+    "normalize": ("divide out the weighted gcd", _POINT, _value(_normalize, "point")),
+    "canon": ("canonical representative of a point", _POINT, _value(canonical_rep, "point")),
+    "equiv": ("decide equivalence of two points", _POINT + ("Y0,Y1,...",), _equiv),
+    "size": ("naive size of a point", _POINT, _value(naive_size, "size")),
+    "height": ("weighted height of a point", _POINT, _value(weighted_height, "height")),
+    "logheight": ("logarithmic weighted height", _POINT,
+                  _value(log_weighted_height, "logheight", "{:.15g}".format)),
+    "phi": ("powered image in ordinary projective space", _POINT, _value(phi, "point")),
+    "preimage": ("preimage of a projective point under the powering map", _POINT, _preimage),
+    "enumerate": ("all points of height at most the bound", _BOUND, _enumerate),
+    "count": ("number of points of height at most the bound", _BOUND,
+              _value(counting_function, "count")),
+    "wellform": ("reduce weights to a well-formed system", (), _wellform),
+    "kronecker": ("test for weighted height exactly one", _POINT, _kronecker),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -227,8 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Weighted gcds, normalization, and exact heights over the rationals.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, handler, help_text: str, coords: int = 1, bound: bool = False):
+    for name, (help_text, operands, _) in _COMMANDS.items():
         sub = subparsers.add_parser(name, help=help_text)
         sub.add_argument("-w", "--weights", required=True, type=str, metavar="Q0,Q1,...")
         sub.add_argument("--records", action="store_true", help="key=value line records")
@@ -236,31 +200,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="trial-division cutoff, at least 2")
         sub.add_argument("--seed", type=int, default=None, metavar="N",
                          help="seed for the randomized factoring stage")
-        if coords >= 1:
-            sub.add_argument("coords", type=str, metavar="X0,X1,...")
-        if coords == 2:
-            sub.add_argument("other", type=str, metavar="Y0,Y1,...")
-        if bound:
-            sub.add_argument("-B", "--bound", required=True, type=str,
-                             metavar="B", help="rational or root(m,k)")
-        sub.set_defaults(handler=handler)
-
-    add("wgcd", _cmd_wgcd, "weighted gcd of a tuple")
-    add("awgcd", _cmd_awgcd, "absolute weighted gcd of a tuple")
-    add("normalize", _cmd_normalize, "divide out the weighted gcd")
-    add("canon", _cmd_canon, "canonical representative of a point")
-    add("equiv", _cmd_equiv, "decide equivalence of two points", coords=2)
-    add("size", _cmd_size, "naive size of a point")
-    add("height", _cmd_height, "weighted height of a point")
-    add("logheight", _cmd_logheight, "logarithmic weighted height")
-    add("phi", _cmd_phi, "powered image in ordinary projective space")
-    add("preimage", _cmd_preimage, "preimage of a projective point under the powering map")
-    add("enumerate", _cmd_enumerate, "all points of height at most the bound",
-        coords=0, bound=True)
-    add("count", _cmd_count, "number of points of height at most the bound",
-        coords=0, bound=True)
-    add("wellform", _cmd_wellform, "reduce weights to a well-formed system", coords=0)
-    add("kronecker", _cmd_kronecker, "test for weighted height exactly one")
+        for operand in operands:
+            if operand == "-B":
+                sub.add_argument("-B", "--bound", required=True, type=str,
+                                 metavar="B", help="rational or root(m,k)")
+            else:
+                sub.add_argument("tuples", action="append", type=str, metavar=operand)
     return parser
 
 
@@ -280,11 +225,18 @@ def main(argv: list[str] | None = None) -> int:
             )
         )
     try:
-        args.weights = _parse_weights(args.weights)
+        weights = _parse_weights(args.weights)
         with effort:
             if getattr(args, "bound", None) is not None:
-                args.bound = _parse_bound(args.bound)
-            args.handler(args)
+                operands = [weights, _parse_bound(args.bound)]
+            elif getattr(args, "tuples", None) is not None:
+                operands = [_weighted_point(text, weights) for text in args.tuples]
+            else:
+                operands = [weights]
+            text, records = _COMMANDS[args.command][2](*operands)
+            # Lazy output is rendered here, inside the factoring scope.
+            for line in records if args.records else text:
+                print(line)
     except CommandError as exc:
         print(exc, file=sys.stderr)
         return 1

@@ -17,10 +17,10 @@ import math
 import operator
 import random
 from bisect import bisect_right
+from collections.abc import Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
-from typing import Iterator
 
 
 class IncompleteFactorizationError(RuntimeError):

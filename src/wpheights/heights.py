@@ -21,8 +21,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 from .factorization import (
     _Value,
@@ -260,14 +260,8 @@ def _floor_power(bound: ExactRoot, exponent: int) -> int:
     a = bound.radicand.numerator
     b = bound.radicand.denominator
     k = bound.index
-    numerator = a**exponent
-    denominator = b**exponent
-    n = iroot(numerator // denominator, k)
-    while (n + 1) ** k * denominator <= numerator:
-        n += 1
-    while n > 0 and n**k * denominator > numerator:
-        n -= 1
-    return n
+    # n**k <= x iff n**k <= floor(x) for an integer n, so one iroot is exact.
+    return iroot(a**exponent // b**exponent, k)
 
 
 def _walk(

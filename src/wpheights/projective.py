@@ -24,8 +24,8 @@ rational scaling witness, so :func:`equivalent` is the strictly finer test.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .factorization import _Value, factorize, nth_root_rational
 from .radicals import ExactRoot
@@ -299,18 +299,15 @@ def replay_well_forming(
 def apply_well_forming(p: WeightedPoint, result: WellFormingResult) -> WeightedPoint:
     """Carry a point along the well-forming truncations.
 
-    The all-weights step leaves coordinates alone; a pivot step raises the
-    pivot coordinate to the divisor-th power.  Heights before and after are
-    not asserted equal anywhere.
+    The weights follow replay_well_forming, so steps that do not divide them
+    raise ValueError.  The all-weights step leaves coordinates alone; a pivot
+    step raises the pivot coordinate to the divisor-th power.  Heights before
+    and after are not asserted equal anywhere.
     """
-    coords = list(p.coords)
-    ws = list(p.weights.weights)
-    for step in result.steps:
-        if step.pivot is None:
-            ws = [q // step.divisor for q in ws]
-        else:
-            coords[step.pivot] = coords[step.pivot] ** step.divisor
-            ws = [q if i == step.pivot else q // step.divisor for i, q in enumerate(ws)]
-    if WeightSystem(ws) != result.new_weights:
+    if replay_well_forming(p.weights, result.steps) != result.new_weights:
         raise ValueError("well-forming steps do not reproduce the recorded weights")
+    coords = list(p.coords)
+    for step in result.steps:
+        if step.pivot is not None:
+            coords[step.pivot] **= step.divisor
     return WeightedPoint(coords, result.new_weights)

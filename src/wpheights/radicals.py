@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import reduce
-from typing import Mapping
 
 from .factorization import _Value, factorize
 

@@ -14,8 +14,8 @@ the all-zero tuple is rejected.  Signs are ignored: divisors are positive.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .factorization import _Value, _extract, factorize
 from .radicals import ExactRoot

@@ -15,19 +15,52 @@ def run(capsys, *argv: str) -> tuple[int, str, str]:
     return status, captured.out, captured.err
 
 
-@pytest.mark.parametrize(
-    "argv, golden",
-    [
-        (("wgcd", "-w", "3,2", "1440,700"), "wgcd_text.txt"),
-        (("wgcd", "-w", "3,2", "--records", "1440,700"), "wgcd_records.txt"),
-        (("height", "-w", "2,4", "15,175"), "height_text.txt"),
-        (("height", "-w", "2,4", "--records", "15,175"), "height_records.txt"),
-        (("count", "-w", "1,1", "-B", "2"), "count_text.txt"),
-        (("count", "-w", "1,1", "-B", "2", "--records"), "count_records.txt"),
-        (("enumerate", "-w", "2,3", "-B", "root(2,6)"), "enumerate_text.txt"),
-        (("enumerate", "-w", "2,3", "-B", "root(2,6)", "--records"), "enumerate_records.txt"),
-    ],
-)
+# Every README command, in text and in --records form.
+GOLDEN_CASES = [
+    (("wgcd", "-w", "3,2", "1440,700"), "wgcd_text.txt"),
+    (("wgcd", "-w", "3,2", "--records", "1440,700"), "wgcd_records.txt"),
+    (("awgcd", "-w", "6,8", "8000000000000,81920000000000000"), "awgcd_text.txt"),
+    (("awgcd", "-w", "6,8", "--records", "8000000000000,81920000000000000"), "awgcd_records.txt"),
+    (("normalize", "-w", "3,2", "1440,700"), "normalize_text.txt"),
+    (("normalize", "-w", "3,2", "--records", "1440,700"), "normalize_records.txt"),
+    (("canon", "-w", "2,3", "1/2,1/8"), "canon_text.txt"),
+    (("canon", "-w", "2,3", "--records", "1/2,1/8"), "canon_records.txt"),
+    (("equiv", "-w", "2,3", "1,1", "4,-8"), "equiv_text.txt"),
+    (("equiv", "-w", "2,3", "--records", "1,1", "4,-8"), "equiv_records.txt"),
+    (("size", "-w", "2,3,5", "7,0,0"), "size_text.txt"),
+    (("size", "-w", "2,3,5", "--records", "7,0,0"), "size_records.txt"),
+    (("height", "-w", "2,4", "15,175"), "height_text.txt"),
+    (("height", "-w", "2,4", "--records", "15,175"), "height_records.txt"),
+    (("logheight", "-w", "2,4", "15,175"), "logheight_text.txt"),
+    (("logheight", "-w", "2,4", "--records", "15,175"), "logheight_records.txt"),
+    (("phi", "-w", "2,4", "15,175"), "phi_text.txt"),
+    (("phi", "-w", "2,4", "--records", "15,175"), "phi_records.txt"),
+    (("preimage", "-w", "2,3", "1,2"), "preimage_text.txt"),
+    (("preimage", "-w", "2,3", "--records", "1,2"), "preimage_records.txt"),
+    (("enumerate", "-w", "2,3", "-B", "root(2,6)"), "enumerate_text.txt"),
+    (("enumerate", "-w", "2,3", "-B", "root(2,6)", "--records"), "enumerate_records.txt"),
+    (("count", "-w", "1,1", "-B", "2"), "count_text.txt"),
+    (("count", "-w", "1,1", "-B", "2", "--records"), "count_records.txt"),
+    (("wellform", "-w", "2,4,6,10"), "wellform_text.txt"),
+    (("wellform", "-w", "2,4,6,10", "--records"), "wellform_records.txt"),
+    (("kronecker", "-w", "1,2,3", "--", "1,-1,0"), "kronecker_text.txt"),
+    (("kronecker", "-w", "1,2,3", "--records", "--", "1,-1,0"), "kronecker_records.txt"),
+]
+
+STARVED_ARGV = ("wgcd", "-w", "1,1", "10403,10403")
+
+# Failures exit 1 with nothing on stdout and exactly this stderr.
+ERROR_CASES = [
+    (("wgcd", "-w", "3,2", "0,0"), "wgcd_all_zero.err"),
+    (("wgcd", "-w", "3,2", "1440,700,9"), "wgcd_length.err"),
+    (("wgcd", "-w", "3,2", "14x,700"), "wgcd_bad_coordinate.err"),
+    (("wgcd", "-w", "3,x", "1440,700"), "wgcd_bad_weight.err"),
+    (("count", "-w", "1,1", "-B", "-3"), "count_negative_bound.err"),
+    (("normalize", "-w", "2,3", "1/2,1/8"), "normalize_not_integral.err"),
+]
+
+
+@pytest.mark.parametrize("argv, golden", GOLDEN_CASES)
 def test_golden_outputs(capsys, argv, golden):
     status, out, err = run(capsys, *argv)
     assert status == 0 and err == ""
@@ -61,8 +94,6 @@ def test_normalize_and_canon(capsys):
     assert status == 0 and out == "[180:175]\n"
     status, out, _ = run(capsys, "canon", "-w", "2,3", "1/2,1/8")
     assert status == 0 and out == "[2:1]\n"
-    status, _, err = run(capsys, "normalize", "-w", "2,3", "1/2,1/8")
-    assert status == 1 and err.startswith("domain error:")
 
 
 def test_equiv(capsys):
@@ -110,24 +141,16 @@ def test_kronecker(capsys):
 
 
 def test_error_categories(capsys):
-    status, _, err = run(capsys, "wgcd", "-w", "3,2", "0,0")
-    assert status == 1 and err.startswith("domain error:")
-    status, _, err = run(capsys, "wgcd", "-w", "3,2", "1440,700,9")
-    assert status == 1 and err.startswith("length error:")
-    status, _, err = run(capsys, "wgcd", "-w", "3,2", "14x,700")
-    assert status == 1 and err.startswith("parse error:")
-    status, _, err = run(capsys, "wgcd", "-w", "3,x", "1440,700")
-    assert status == 1 and err.startswith("parse error:")
-    status, _, err = run(capsys, "count", "-w", "1,1", "-B", "-3")
-    assert status == 1 and err.startswith("domain error:")
+    for argv, golden in ERROR_CASES:
+        assert run(capsys, *argv) == (1, "", (GOLDEN / golden).read_text()), argv
 
 
 def test_factoring_effort_error(capsys):
     # Starve every stage so the 101 * 103 cofactor survives; the CLI must
     # report it rather than guess.
     with factor_config(FactorConfig(trial_bound=10, rho_iterations=2, rho_attempts=0)):
-        status, _, err = run(capsys, "wgcd", "-w", "1,1", "10403,10403")
-    assert status == 1 and err.startswith("factoring error:")
+        result = run(capsys, *STARVED_ARGV)
+    assert result == (1, "", (GOLDEN / "wgcd_factoring.err").read_text())
 
 
 def test_factor_bound_does_not_outlive_the_call(capsys):

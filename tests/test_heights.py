@@ -190,6 +190,19 @@ def test_phi_preimage_consistency_seeded():
         assert canonical_rep(back) == canonical_rep(p)
 
 
+def test_floor_power_is_the_exact_floor_seeded():
+    # floor(B**e) for B = (a/b)**(1/k) is the n with n**k * b**e <= a**e < (n+1)**k * b**e.
+    rng = random.Random(2026)
+    for _ in range(2000):
+        radicand = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
+        k, e = rng.randint(1, 12), rng.randint(1, 60)
+        bound = ExactRoot(radicand ** rng.choice((1, 1, 1, k)), k)  # some perfect powers
+        a, b = bound.radicand.numerator, bound.radicand.denominator
+        k = bound.index
+        n = wpheights.heights._floor_power(bound, e)
+        assert n**k * b**e <= a**e < (n + 1) ** k * b**e
+
+
 def test_enumerate_unit_weights_bound_two():
     points = enumerate_bounded((1, 1), 2)
     coords = [tuple(int(c) for c in p.coords) for p in points]

@@ -22,6 +22,8 @@ from wpheights import (
     WeightSystem,
     WeightedPoint,
     WeightedTuple,
+    WellFormingResult,
+    WellFormingStep,
     absolutely_normalize,
     apply_well_forming,
     awgcd,
@@ -373,3 +375,13 @@ def test_apply_well_forming_transforms_pivot_coordinates():
     global_only = well_form((2, 4, 6, 10))
     q = WeightedPoint((1, 2, 3, 4), (2, 4, 6, 10))
     assert apply_well_forming(q, global_only).coords == q.coords
+
+
+def test_apply_well_forming_rejects_steps_that_do_not_divide_the_weights():
+    steps = (WellFormingStep(2, None),)
+    bogus = WellFormingResult(WeightSystem((1, 2)), steps)
+    p = WeightedPoint((5, 7), (3, 4))
+    with pytest.raises(ValueError):
+        replay_well_forming(p.weights, steps)
+    with pytest.raises(ValueError):
+        apply_well_forming(p, bogus)

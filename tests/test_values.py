@@ -179,11 +179,11 @@ def test_fields_match_positionally():
 
 def test_cli_import_skips_dataclasses_and_inspect():
     # Importing dataclasses pulls in inspect, ast, dis and tokenize, a
-    # large share of a CLI call's start-up.
+    # large share of a CLI call's start-up; typing alone costs a few ms.
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         f"import sys; sys.path.insert(0, {str(src)!r}); import wpheights.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
     )
     result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
     assert result.stdout == "[]\n"
