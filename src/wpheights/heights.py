@@ -8,12 +8,12 @@ q-th root of the Weil height of the powered image under
 
 with q the product of the weights.  Both routes are implemented exactly: the
 phi reduction (the primary definition here) and the place-by-place product
-(the independent cross-check).  Through lcm(w) the reduction also gives a
-complete enumerator of the points of height at most a bound: a depth-first
-walk, per support, over the gcd of the powered coordinates, which factors
-nothing and visits a few candidates per class.  phi_preimage pulls a
-projective point back prime by prime with no roots, through a kernel of its
-own.
+(the independent cross-check).  kronecker_check reads height one from the
+Weil height of phi(p) alone and factors nothing.  Through lcm(w) the
+reduction also gives a complete enumerator of the points of height at most a
+bound: a depth-first walk, per support, over the gcd of the powered
+coordinates, which factors nothing and visits a few candidates per class.
+phi_preimage pulls a projective point back prime by prime with no roots.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .factorization import (
     nth_root_rational,
     primes_up_to,
 )
-from .radicals import ONE, ExactRoot
+from .radicals import ExactRoot
 from .projective import WeightedPoint, _integral, _unchecked_point
 from .wgcd import WeightSystem, as_weight_system
 
@@ -84,20 +84,6 @@ def weighted_height(p: WeightedPoint) -> ExactRoot:
     return ExactRoot(Fraction(weil_height(phi(p))), p.weights.weight_product)
 
 
-def _root_argmax(values: list[tuple[int, int]]) -> int:
-    """Index maximizing c**(1/q) over (c, q) pairs, exact on near ties."""
-    logs = [math.log(c) / q for c, q in values]
-    best = max(range(len(values)), key=logs.__getitem__)
-    for i, (c, q) in enumerate(values):
-        if i == best or logs[i] < logs[best] - 1e-9:
-            continue
-        cb, qb = values[best]
-        common = math.lcm(q, qb)
-        if c ** (common // q) > cb ** (common // qb):
-            best, cb, qb = i, c, q
-    return best
-
-
 def weighted_height_direct(p: WeightedPoint) -> ExactRoot:
     """Place-by-place evaluation of the weighted height; equals weighted_height.
 
@@ -114,7 +100,13 @@ def weighted_height_direct(p: WeightedPoint) -> ExactRoot:
         drop = min(Fraction(profile.get(ell, 0), q) for profile, q in profiles)
         if drop:
             exponents[ell] = -drop
-    largest = _root_argmax(nonzero)
+    largest = 0
+    for i, (c, q) in enumerate(nonzero):
+        # c**(1/q) against the largest term so far, both raised to a common index.
+        cb, qb = nonzero[largest]
+        common = math.lcm(q, qb)
+        if c ** (common // q) > cb ** (common // qb):
+            largest = i
     profile, q = profiles[largest]
     for ell, e in profile.items():
         exponents[ell] = exponents.get(ell, Fraction(0)) + Fraction(e, q)
@@ -143,55 +135,18 @@ class KroneckerResult(_Value):
 
 
 def kronecker_check(p: WeightedPoint) -> KroneckerResult:
-    """Exact height-one test plus the rational root-of-unity ratio condition."""
-    height_is_one = weighted_height(p) == ONE
-    condition = False
-    for i, (x, q) in enumerate(zip(p.coords, p.weights)):
-        if x == 0:
-            continue
-        xi = nth_root_rational(abs(x), q)
-        if xi is None:
-            continue
-        ratios_ok = True
-        for j, (y, qj) in enumerate(zip(p.coords, p.weights)):
-            if j == i or y == 0:
-                continue
-            if abs(y / xi**qj) != 1:
-                ratios_ok = False
-                break
-        if ratios_ok:
-            condition = True
-            break
-    return KroneckerResult(height_is_one, condition)
+    """Exact height-one test plus the rational root-of-unity ratio condition.
 
-
-def _crt(res_a: int, mod_a: int, res_b: int, mod_b: int) -> tuple[int, int] | None:
-    """Combine two congruences; None when they are inconsistent."""
-    g = math.gcd(mod_a, mod_b)
-    if (res_b - res_a) % g != 0:
-        return None
-    lcm = mod_a // g * mod_b
-    step = (res_b - res_a) // g * pow(mod_a // g, -1, mod_b // g) if mod_b != g else 0
-    combined = (res_a + mod_a * step) % lcm
-    return combined, lcm
-
-
-def _root_exponents(pattern: tuple[int | None, ...], powering: list[int]) -> tuple[int, ...] | None:
-    """Exponents of the prime ell in the preimage's coordinates; None on a clash.
-
-    pattern holds v_ell(y_i), None for y_i = 0.  v_ell(mu) is the least r >= 0
-    with every k_i | r + v_i (CRT), and coordinate i gets (r + v_i) / k_i.
+    wh(p) is the weight_product-th root of the Weil height of phi(p), so it
+    is 1 exactly when that integer is; nothing is factored.
     """
-    residue, modulus = 0, 1
-    for v, k in zip(pattern, powering):
-        if v is not None:
-            combined = _crt(residue, modulus, -v % k, k)
-            if combined is None:
-                return None
-            residue, modulus = combined
-    live = [(v, k) for v, k in zip(pattern, powering) if v is not None]
-    assert all((residue + v) % k == 0 for v, k in live)  # the congruences guarantee it
-    return tuple(0 if v is None else (residue + v) // k for v, k in zip(pattern, powering))
+    terms = [(x, q) for x, q in zip(p.coords, p.weights) if x != 0]
+    roots = (nth_root_rational(abs(x), q) for x, q in terms)
+    # A term always meets its own ratio, so every nonzero term is checked.
+    condition = any(
+        xi is not None and all(abs(y / xi**qj) == 1 for y, qj in terms) for xi in roots
+    )
+    return KroneckerResult(weil_height(phi(p)) == 1, condition)
 
 
 def _pullback(
@@ -200,19 +155,25 @@ def _pullback(
     """Integer coordinates of the phi preimage of coords, or None when none exists.
 
     Reads only the signs of coords; valuations[i] factors |coords[i]| (empty
-    for 0) and phi raises coordinate i to powering[i].  mu = +|mu| unless
-    that makes an even-exponent coordinate negative, then -|mu| unless one
-    turns positive.
+    for 0) and phi raises coordinate i to powering[i].  Per prime ell,
+    v_ell(mu) is the least r >= 0 with k_i | r + v_ell(y_i) on every nonzero
+    coordinate (CRT, None on a clash), and coordinate i gets
+    (r + v_ell(y_i)) / k_i.  mu = +|mu| unless that makes an even-exponent
+    coordinate negative, then -|mu| unless one turns positive.
     """
+    live = [(i, k) for i, (c, k) in enumerate(zip(coords, powering)) if c]
     magnitudes = [1 if c else 0 for c in coords]
     for ell in set().union(*valuations):
-        pattern = tuple([v.get(ell, 0) if c else None for c, v in zip(coords, valuations)])
-        exponents = _root_exponents(pattern, powering)
-        if exponents is None:
-            return None
-        for i, e in enumerate(exponents):
-            if e:
-                magnitudes[i] *= ell**e
+        r, modulus = 0, 1  # r is the least solution modulo the lcm so far
+        for i, k in live:
+            gap = -valuations[i].get(ell, 0) - r
+            g = math.gcd(modulus, k)
+            if gap % g:
+                return None
+            r += modulus * (gap // g * pow(modulus // g, -1, k // g) % (k // g))
+            modulus = modulus // g * k
+        for i, k in live:
+            magnitudes[i] *= ell ** ((r + valuations[i].get(ell, 0)) // k)
     even_signs = {c > 0 for c, k in zip(coords, powering) if c and k % 2 == 0}
     if len(even_signs) == 2:
         return None

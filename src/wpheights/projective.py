@@ -3,9 +3,10 @@
 A point is a rational coordinate tuple (not all zero) bound to a weight
 system, up to the scaling x_i -> lambda**q_i * x_i.  This module provides
 the scaling action, wgcd- and awgcd-normalization of integer representatives,
-a decision procedure for rational equivalence with an explicit witness, a
-canonical representative suitable for exact deduplication, the naive size,
-and the weight well-forming algorithm.
+a decision procedure for rational equivalence with an explicit witness (one
+exact root of one coordinate ratio, nothing factored), a canonical
+representative suitable for exact deduplication, the naive size, and the
+weight well-forming algorithm.
 
 clear_denominators, normalize, absolutely_normalize, canonical_rep and
 naive_size share one integer path: scale to the least integral
@@ -142,41 +143,23 @@ def absolutely_normalize(p: WeightedPoint) -> WeightedPoint:
     return _result(p, _reduced(_integer_coords(p), p.weights.reduced_weights))
 
 
-def _bezout(values: list[int]) -> list[int]:
-    """Integers c_i with sum(c_i * values[i]) == gcd(values), for positive values."""
-    g, coefficients = values[0], [1]
-    for v in values[1:]:
-        # Extended Euclid on (g, v): x * g + y * v == gcd(g, v).
-        a, b, x, x_next, y, y_next = g, v, 1, 0, 0, 1
-        while b:
-            k = a // b
-            a, b = b, a - k * b
-            x, x_next = x_next, x - k * x_next
-            y, y_next = y_next, y - k * y_next
-        g = a
-        coefficients = [c * x for c in coefficients] + [y]
-    return coefficients
-
-
 def equivalent(p: WeightedPoint, r: WeightedPoint) -> Fraction | None:
     """Rational witness lam with scale(p, lam) == r, or None.
 
     Zero patterns must match.  On the support each ratio r_i / p_i must be
-    lam**q_i, so with Bezout coefficients c_i for the weights there, whose
-    gcd is g, the product of ratio_i**c_i is lam**g.  Its exact rational
-    g-th root fixes |lam|; +|lam| and then -|lam| are checked against r.
-    Nothing is factored.
+    lam**q_i, so the exact rational q_j-th root of |r_j / p_j|, for the
+    least weight q_j there, is the only candidate for |lam|; +|lam| and then
+    -|lam| are checked against r.  Nothing is factored.
     """
     if p.weights != r.weights:
         raise ValueError(f"weight systems differ: {p.weights} vs {r.weights}")
     if any((a == 0) != (b == 0) for a, b in zip(p.coords, r.coords)):
         return None
-    support = [(b / a, q) for a, b, q in zip(p.coords, r.coords, p.weights) if a != 0]
-    weights = [q for _, q in support]
-    power = Fraction(1)
-    for (ratio, _), c in zip(support, _bezout(weights)):
-        power *= ratio**c
-    magnitude = nth_root_rational(abs(power), math.gcd(*weights))
+    a, b, q = min(
+        ((a, b, q) for a, b, q in zip(p.coords, r.coords, p.weights) if a != 0),
+        key=lambda term: term[2],
+    )
+    magnitude = nth_root_rational(abs(b / a), q)
     if magnitude is None:
         return None
     for lam in (magnitude, -magnitude):
@@ -284,9 +267,11 @@ def well_form(weights: WeightSystem | Iterable[int]) -> WellFormingResult:
 def replay_well_forming(
     weights: WeightSystem | Iterable[int], steps: Sequence[WellFormingStep]
 ) -> WeightSystem:
-    """Apply recorded truncation steps to a weight system."""
+    """Apply recorded truncation steps; a step that does not fit the weights raises ValueError."""
     ws = list(as_weight_system(weights).weights)
     for step in steps:
+        if step.divisor < 1 or (step.pivot is not None and not 0 <= step.pivot < len(ws)):
+            raise ValueError(f"step {step} does not fit weights {ws}")
         for i in range(len(ws)):
             if step.pivot is not None and i == step.pivot:
                 continue

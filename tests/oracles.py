@@ -7,8 +7,8 @@ for the production routes (which factor only gcd(x)), the point operations
 on Fraction points (denominators cleared through one valuation per prime and
 coordinate, gcds divided out through the factoring wgcd/awgcd; the library
 runs one integer clear-and-divide kernel), the equivalence test that
-factors every coordinate ratio (the library combines the ratios by Bezout
-and takes one exact root instead), the pullback that takes integer roots of
+factors every coordinate ratio (the library takes one exact root of the
+ratio at the least weight of the support instead), the pullback that takes integer roots of
 the scaled coordinates (the library builds them prime by prime from the
 valuations), the enumerator that canonicalizes every pullback, and
 the lcm-image scan that pulls every projective point of Weil height at most

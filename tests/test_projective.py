@@ -385,3 +385,20 @@ def test_apply_well_forming_rejects_steps_that_do_not_divide_the_weights():
         replay_well_forming(p.weights, steps)
     with pytest.raises(ValueError):
         apply_well_forming(p, bogus)
+
+
+@pytest.mark.parametrize(
+    "step",
+    [WellFormingStep(2, -1), WellFormingStep(2, 2), WellFormingStep(2, 5), WellFormingStep(0, None),
+     WellFormingStep(0, 1), WellFormingStep(-2, None)],
+)
+def test_well_forming_steps_outside_the_weights_are_rejected(step):
+    # Replay once read a pivot outside 0..n-1 as the all-weights step, while
+    # apply powered coordinates[pivot]: (2,4) with pivot -1 replayed to (1,2)
+    # and applied to [3:25].
+    p = WeightedPoint((3, 5), (2, 4))
+    with pytest.raises(ValueError):
+        replay_well_forming(p.weights, (step,))
+    for new_weights in ((1, 2), (2, 4), (1, 1)):
+        with pytest.raises(ValueError):
+            apply_well_forming(p, WellFormingResult(WeightSystem(new_weights), (step,)))
