@@ -19,9 +19,8 @@ from .factorization import (
     is_prime,
     nth_root_rational,
     primes_up_to,
-    valuation,
 )
-from .radicals import ONE, ExactRoot
+from .radicals import ExactRoot
 from .wgcd import (
     WeightSystem,
     WeightedTuple,
@@ -52,7 +51,6 @@ from .heights import (
     ProjectivePoint,
     bounded_points,
     counting_function,
-    enumerate_bounded,
     kronecker_check,
     log_weighted_height,
     phi,
@@ -70,7 +68,6 @@ __all__ = [
     "Factorization",
     "IncompleteFactorizationError",
     "KroneckerResult",
-    "ONE",
     "ProjectivePoint",
     "WeightSystem",
     "WeightedPoint",
@@ -85,7 +82,6 @@ __all__ = [
     "canonical_rep",
     "clear_denominators",
     "counting_function",
-    "enumerate_bounded",
     "equivalent",
     "factor_config",
     "factorize",
@@ -104,7 +100,6 @@ __all__ = [
     "primes_up_to",
     "replay_well_forming",
     "scale",
-    "valuation",
     "weighted_height",
     "weighted_height_direct",
     "weil_height",

@@ -66,7 +66,7 @@ def _parse_weights(text: str) -> WeightSystem:
     values = []
     for part in text.split(","):
         part = part.strip()
-        if not part.isdigit() or int(part) < 1:
+        if not part.isdecimal() or int(part) < 1:
             raise CommandError("parse error", f"malformed weight {part!r} in {text!r}")
         values.append(int(part))
     return WeightSystem(values)
@@ -104,12 +104,6 @@ def _value(call, key: str, render=str):
         return [text], [f"{key}={text}"]
 
     return run
-
-
-def _normalize(point: WeightedPoint) -> WeightedPoint:
-    if not point.is_integral:
-        raise CommandError("domain error", "normalize needs integer coordinates")
-    return normalize(point)
 
 
 def _equiv(first: WeightedPoint, second: WeightedPoint):
@@ -169,7 +163,7 @@ _COMMANDS = {
              _value(lambda p: generalized_wgcd(p.coords, p.weights), "wgcd")),
     "awgcd": ("absolute weighted gcd of a tuple", _POINT,
               _value(lambda p: generalized_awgcd(p.coords, p.weights), "awgcd")),
-    "normalize": ("divide out the weighted gcd", _POINT, _value(_normalize, "point")),
+    "normalize": ("divide out the weighted gcd", _POINT, _value(normalize, "point")),
     "canon": ("canonical representative of a point", _POINT, _value(canonical_rep, "point")),
     "equiv": ("decide equivalence of two points", _POINT + ("Y0,Y1,...",), _equiv),
     "size": ("naive size of a point", _POINT, _value(naive_size, "size")),

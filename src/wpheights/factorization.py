@@ -385,19 +385,6 @@ def factorize(value: int | Fraction, config: FactorConfig | None = None) -> Fact
     return result
 
 
-def valuation(value: int | Fraction, p: int) -> int:
-    """Exponent of the prime p in the nonzero rational value (may be negative)."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    value = Fraction(value)
-    if value == 0:
-        raise ValueError("valuation of zero is undefined here; handle zeros at the call site")
-    # Fractions are reduced, so p divides at most one of numerator/denominator.
-    if value.denominator % p == 0:
-        return -_extract(value.denominator, p)[1]
-    return _extract(abs(value.numerator), p)[1]
-
-
 def iroot(n: int, k: int) -> int:
     """Floor of the k-th root of n >= 0."""
     if n < 0:

@@ -362,13 +362,6 @@ def bounded_points(
     ]
 
 
-def enumerate_bounded(
-    weights: WeightSystem | Iterable[int], bound: ExactRoot | Fraction | int
-) -> list[WeightedPoint]:
-    """All points of weighted height <= bound, as sorted canonical representatives."""
-    return [point for point, _ in bounded_points(weights, bound)]
-
-
 def counting_function(
     weights: WeightSystem | Iterable[int], bound: ExactRoot | Fraction | int
 ) -> int:

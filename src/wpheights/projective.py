@@ -109,7 +109,7 @@ def _integral(p: WeightedPoint) -> list[int]:
 
 def _integer_coords(p: WeightedPoint) -> list[int]:
     if not p.is_integral:
-        raise ValueError("normalize needs integer coordinates; clear denominators first")
+        raise ValueError("normalize needs integer coordinates")
     return [c.numerator for c in p.coords]
 
 
@@ -286,8 +286,10 @@ def apply_well_forming(p: WeightedPoint, result: WellFormingResult) -> WeightedP
 
     The weights follow replay_well_forming, so steps that do not divide them
     raise ValueError.  The all-weights step leaves coordinates alone; a pivot
-    step raises the pivot coordinate to the divisor-th power.  Heights before
-    and after are not asserted equal anywhere.
+    step raises the pivot coordinate to the divisor-th power.  Either way
+    every |x_i|_v**(1/q_i) is raised to the divisor, so with h the weighted
+    height of p and D the product of the divisors, the result has height
+    h**D, that is ExactRoot(h.radicand**D, h.index).
     """
     if replay_well_forming(p.weights, result.steps) != result.new_weights:
         raise ValueError("well-forming steps do not reproduce the recorded weights")

@@ -3,8 +3,8 @@
 An :class:`ExactRoot` stores a positive rational radicand and a positive
 integer index, always reduced so the index is minimal (no divisor d > 1 of
 the index leaves the radicand a d-th rational power).  That makes structural
-equality coincide with equality of real values, and lets comparisons,
-products, and powers stay bit-exact via big-integer cross-raising.
+equality coincide with equality of real values, and lets comparisons
+and products stay bit-exact via big-integer cross-raising.
 """
 
 from __future__ import annotations
@@ -126,21 +126,6 @@ class ExactRoot(_Value):
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: "ExactRoot | int | Fraction") -> "ExactRoot":
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return self * ExactRoot(1 / coerced.radicand, coerced.index)
-
-    def __pow__(self, exponent: int | Fraction) -> "ExactRoot":
-        exponent = Fraction(exponent)
-        if exponent <= 0:
-            raise ValueError(f"exponent must be positive, got {exponent}")
-        return ExactRoot(
-            self.radicand**exponent.numerator,
-            self.index * exponent.denominator,
-        )
-
     def log(self) -> float:
         """Natural log, accurate to double precision (>= 12 significant digits)."""
         return (
@@ -151,6 +136,3 @@ class ExactRoot(_Value):
         if self.index == 1:
             return str(self.radicand)
         return f"root({self.radicand},{self.index})"
-
-
-ONE = ExactRoot(Fraction(1))

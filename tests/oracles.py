@@ -14,8 +14,8 @@ valuations), the enumerator that canonicalizes every pullback, and
 the lcm-image scan that pulls every projective point of Weil height at most
 floor(B**L) back through the library's kernel on a factor table (the
 library walks the gcd of the powered coordinates instead).  Two helpers only
-the tests need live here too: :func:`plus_valuation` and
-:func:`factorization_value`.
+the tests need live here too: :func:`valuation` with :func:`plus_valuation`,
+and :func:`factorization_value`.
 """
 
 from __future__ import annotations
@@ -34,9 +34,10 @@ from wpheights import (
     canonical_rep,
     factorize,
     iroot,
+    is_prime,
     scale,
-    valuation,
 )
+from wpheights.factorization import _extract
 from wpheights.heights import _floor_power, _pullback
 from wpheights.projective import _unchecked_point
 
@@ -131,6 +132,19 @@ def generalized_awgcd_factoring(coords, weights) -> ExactRoot:
     profile = _plus_profile(coords, ws.reduced_weights)
     radicand = math.prod(p**a for p, a in profile.items())
     return ExactRoot(Fraction(radicand), ws.weight_gcd)
+
+
+def valuation(value: int | Fraction, p: int) -> int:
+    """Exponent of the prime p in the nonzero rational value (may be negative)."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    value = Fraction(value)
+    if value == 0:
+        raise ValueError("valuation of zero is undefined here; handle zeros at the call site")
+    # Fractions are reduced, so p divides at most one of numerator/denominator.
+    if value.denominator % p == 0:
+        return -_extract(value.denominator, p)[1]
+    return _extract(abs(value.numerator), p)[1]
 
 
 def plus_valuation(value, p: int) -> int:

@@ -17,10 +17,10 @@ from wpheights import (
     WeightedPoint,
     WeightedTuple,
     awgcd,
+    bounded_points,
     canonical_rep,
     clear_denominators,
     counting_function,
-    enumerate_bounded,
     is_well_formed,
     kronecker_check,
     log_weighted_height,
@@ -119,7 +119,7 @@ def test_criterion_3_oracle_equivalence_on_10000_tuples():
         live = [(abs(c), q) for c, q in zip(t.coords, t.weights) if c != 0]
         d = wgcd(t)
         root = awgcd(t)
-        powered = root ** t.weights.weight_gcd
+        g = t.weights.weight_gcd
         ok = (
             d == wgcd_factoring(t)
             and root == awgcd_factoring(t)
@@ -129,8 +129,9 @@ def test_criterion_3_oracle_equivalence_on_10000_tuples():
                 for bump in PRIMES_TO_50
             )
             and math.gcd(*(c for c, _ in live)) % d == 0
-            and powered.index == 1
-            and powered.radicand.denominator == 1
+            # root**g is an integer: the index divides g and the radicand is integral.
+            and g % root.index == 0
+            and root.radicand.denominator == 1
             and ExactRoot(d) <= root
         )
         if not ok:
@@ -169,10 +170,11 @@ def test_criterion_4_height_properties_on_1000_points():
         ok = (
             h == weighted_height_direct(p)
             and h >= 1
-            and h**q == weil_height(phi(p))
+            and q % h.index == 0
+            and h.radicand ** (q // h.index) == weil_height(phi(p))
             and h <= size
             and (h == size) == (powered_gcd == 1)
-            and size == h * ExactRoot(powered_gcd, q)
+            and size == ExactRoot(h.radicand ** (q // h.index) * powered_gcd, q)
             and math.isclose(
                 q * log_weighted_height(p),
                 math.log(weil_height(phi(p))),
@@ -216,7 +218,7 @@ def test_criterion_5_bounded_enumeration_matches_box_oracle():
     if counting_function((2, 3), ExactRoot(2, 6)) != 8:
         failures.append("count (2,3) B=2^(1/6)")
     for weights, bound, box, sweep in NORTHCOTT_CASES:
-        enum = {p.coords for p in enumerate_bounded(weights, bound)}
+        enum = {p.coords for p, _ in bounded_points(weights, bound)}
         inside = all(abs(c) <= box for coords in enum for c in coords)
         if not inside:
             failures.append(f"{weights}: representative escapes box {box}")
@@ -232,7 +234,7 @@ def test_criterion_5_bounded_enumeration_matches_box_oracle():
 def test_criterion_6_kronecker_height_one():
     failures = []
     for weights in [(1, 1), (2, 3), (2, 4), (1, 2, 3)]:
-        for point in enumerate_bounded(weights, 1):
+        for point, _ in bounded_points(weights, 1):
             if not kronecker_check(point).height_is_one:
                 failures.append(f"B=1 point {point} of {weights} fails the height-one check")
 

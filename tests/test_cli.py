@@ -58,6 +58,8 @@ ERROR_CASES = [
     (("wgcd", "-w", "3,x", "1440,700"), "wgcd_bad_weight.err"),
     (("count", "-w", "1,1", "-B", "-3"), "count_negative_bound.err"),
     (("normalize", "-w", "2,3", "1/2,1/8"), "normalize_not_integral.err"),
+    # str.isdigit accepts the superscript, but int() does not parse it.
+    (("wgcd", "-w", "²,1", "1,1"), "wgcd_superscript_weight.err"),
 ]
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wpheights.factorization
-from oracles import factorization_value, plus_valuation
+from oracles import factorization_value, plus_valuation, valuation
 from wpheights import (
     FactorConfig,
     Factorization,
@@ -17,7 +17,6 @@ from wpheights import (
     is_prime,
     nth_root_rational,
     primes_up_to,
-    valuation,
 )
 
 

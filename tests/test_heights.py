@@ -20,10 +20,10 @@ from wpheights import (
     ExactRoot,
     ProjectivePoint,
     WeightedPoint,
+    apply_well_forming,
     bounded_points,
     canonical_rep,
     counting_function,
-    enumerate_bounded,
     iroot,
     kronecker_check,
     log_weighted_height,
@@ -34,6 +34,7 @@ from wpheights import (
     weighted_height,
     weighted_height_direct,
     weil_height,
+    well_form,
 )
 import wpheights.heights
 from wpheights import factorize
@@ -129,12 +130,38 @@ def test_height_properties_seeded():
         h = weighted_height(p)
         assert h == weighted_height_direct(p)
         assert h >= 1
-        powered = h ** p.weights.weight_product
-        assert powered == weil_height(phi(p))
+        q = p.weights.weight_product
+        assert q % h.index == 0 and h.radicand ** (q // h.index) == weil_height(phi(p))
         assert h <= naive_size(p)
         for _ in range(5):
             lam = Fraction(rng.choice((1, -1)) * rng.randint(1, 6), rng.randint(1, 6))
             assert weighted_height_direct(scale(p, lam)) == h
+
+
+def test_height_under_well_forming_seeded():
+    # Each truncation step raises every |x_i|_v**(1/q_i) to its divisor, at
+    # every place, so the carried point has height h**D, D the product of
+    # the divisors.
+    rng = random.Random(4177)
+    checked = 0
+    while checked < 4000:
+        length = rng.randint(2, 4)
+        weights = [rng.randint(1, 12) for _ in range(length)]
+        result = well_form(weights)
+        if not result.steps:
+            continue
+        coords = [
+            Fraction(rng.randint(-40, 40), rng.randint(1, 40)) if rng.random() < 0.8 else 0
+            for _ in range(length)
+        ]
+        if not any(coords):
+            coords[0] = Fraction(1)
+        p = WeightedPoint(coords, weights)
+        h = weighted_height(p)
+        d = math.prod(step.divisor for step in result.steps)
+        moved = apply_well_forming(p, result)
+        assert weighted_height(moved) == ExactRoot(h.radicand**d, h.index), (p, result)
+        checked += 1
 
 
 def test_kronecker_examples():
@@ -204,7 +231,7 @@ def test_floor_power_is_the_exact_floor_seeded():
 
 
 def test_enumerate_unit_weights_bound_two():
-    points = enumerate_bounded((1, 1), 2)
+    points = [p for p, _ in bounded_points((1, 1), 2)]
     coords = [tuple(int(c) for c in p.coords) for p in points]
     assert coords == [
         (0, 1), (1, -1), (1, 0), (1, 1),
@@ -228,19 +255,19 @@ def test_enumerate_height_one_weights_2_3_has_four_classes():
     # [0:1], [1:0], [1:1] and [-1:1]: the last is a genuine fourth class
     # (its powered image is [1:-1]) even though informal listings of the
     # height-one points sometimes fold it into the [1:1] sign class.
-    points = enumerate_bounded((2, 3), 1)
+    points = [p for p, _ in bounded_points((2, 3), 1)]
     coords = [tuple(int(c) for c in p.coords) for p in points]
     assert coords == [(-1, 1), (0, 1), (1, 0), (1, 1)]
     assert counting_function((2, 3), 1) == 4
 
 
 def test_enumerate_below_one_is_empty():
-    assert enumerate_bounded((2, 3), Fraction(9, 10)) == []
+    assert bounded_points((2, 3), Fraction(9, 10)) == []
     assert counting_function((1, 1), Fraction(1, 2)) == 0
     # Every weighted height is at least 1, so a bound <= 0 admits no point either.
     for bound in (0, Fraction(0), Fraction(-1, 2), -1):
         assert bounded_points((2, 3), bound) == []
-        assert enumerate_bounded((1, 2, 3), bound) == []
+        assert bounded_points((1, 2, 3), bound) == []
         assert counting_function((2, 3), bound) == 0
 
 
@@ -251,7 +278,7 @@ def test_counting_function_matches_enumeration():
 
 def test_enumerate_matches_box_oracle_three_coordinates():
     bound = ExactRoot(2, 6)
-    enum = {p.coords for p in enumerate_bounded((1, 2, 3), bound)}
+    enum = {p.coords for p, _ in bounded_points((1, 2, 3), bound)}
     assert enum == bounded_classes_brute((1, 2, 3), bound, 8)
     assert enum == bounded_classes_brute((1, 2, 3), bound, 12)
 
@@ -266,7 +293,7 @@ def test_enumerate_matches_box_oracle_three_coordinates():
 def test_enumerate_shared_factor_weights_matches_box_oracle(weights, bound, classes, boxes):
     # The weight product far exceeds lcm(w) here, so a scan of the phi image
     # up to B**product (about 6.9e10 grid points for (2,4,6,10)) is infeasible.
-    enum = {p.coords for p in enumerate_bounded(weights, bound)}
+    enum = {p.coords for p, _ in bounded_points(weights, bound)}
     assert len(enum) == classes
     for box in boxes:
         assert enum == bounded_classes_brute(weights, bound, box)

@@ -57,9 +57,7 @@ def test_rich_comparisons_and_mixed_operands():
 
 def test_comparisons_with_nonpositive_rationals():
     # A positive real never equals a rational <= 0 and always exceeds it.
-    from wpheights import ONE
-
-    assert not ONE == 0 and ONE != 0
+    assert not ExactRoot(1) == 0 and ExactRoot(1) != 0
     assert ExactRoot(2) > 0 and ExactRoot(2) >= 0
     assert not ExactRoot(2, 2) == -1
     assert not ExactRoot(2) < Fraction(-1, 2) and not ExactRoot(2) <= Fraction(-1, 2)
@@ -90,15 +88,11 @@ def test_compare_agrees_with_floats_seeded():
 
 def test_mul_and_pow_examples():
     assert ExactRoot(2, 2) * ExactRoot(2, 2) == 2
-    assert ExactRoot(3, 2) ** 2 == 3
-    # 4000 = 2**5 * 5**3 is not a perfect power, so the index just scales.
-    assert ExactRoot(4000, 2) ** Fraction(1, 3) == ExactRoot(4000, 6)
 
 
 def test_mul_cross_indexes():
     assert ExactRoot(2, 2) * ExactRoot(2, 3) == ExactRoot(2**5, 6)
     assert ExactRoot(8, 2) * ExactRoot(Fraction(1, 2), 2) == 2
-    assert ExactRoot(5, 2) / ExactRoot(5, 2) == 1
 
 
 @given(
@@ -111,11 +105,6 @@ def test_mul_cross_indexes():
 def test_mul_matches_logs(m1, k1, m2, k2):
     a, b = ExactRoot(Fraction(m1), k1), ExactRoot(Fraction(m2), k2)
     assert math.isclose((a * b).log(), a.log() + b.log(), rel_tol=1e-12, abs_tol=1e-12)
-
-
-def test_pow_rejects_nonpositive_exponent():
-    with pytest.raises(ValueError):
-        ExactRoot(2, 1) ** 0
 
 
 def test_log_value():

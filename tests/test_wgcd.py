@@ -195,9 +195,9 @@ def test_routes_agree_and_invariants_hold_seeded():
             assert not all(c % (bump * d) ** q == 0 for c, q in live)
         # wgcd divides gcd
         assert math.gcd(*(c for c, _ in live)) % d == 0
-        # awgcd**weight_gcd is an integer, and wgcd <= awgcd
-        powered = root ** t.weights.weight_gcd
-        assert powered.index == 1 and powered.radicand.denominator == 1
+        # awgcd**weight_gcd is an integer (the index divides weight_gcd and the
+        # radicand is integral), and wgcd <= awgcd
+        assert t.weights.weight_gcd % root.index == 0 and root.radicand.denominator == 1
         assert ExactRoot(d) <= root
         if t.weights.weight_gcd == 1:
             assert root == d
