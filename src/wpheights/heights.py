@@ -8,11 +8,12 @@ q-th root of the Weil height of the powered image under
 
 with q the product of the weights.  Both routes are implemented exactly: the
 phi reduction (the primary definition here) and the place-by-place product
-(the independent cross-check).  kronecker_check reads height one from the
-Weil height of phi(p) alone and factors nothing.  Through lcm(w) the
-reduction also gives a complete enumerator of the points of height at most a
-bound: a depth-first walk, per support, over the gcd of the powered
-coordinates, which factors nothing and visits a few candidates per class.
+(the independent cross-check).  kronecker_check decides height one by
+cross-raising the nonzero |x_i|**(1/q_i) against each other, with no phi
+and no factoring.  Through lcm(w) the reduction also gives a complete
+enumerator of the points of height at most a bound: a depth-first walk, per
+support, over the gcd of the powered coordinates, which factors nothing and
+visits a few candidates per class.
 phi_preimage pulls a projective point back prime by prime with no roots.
 """
 
@@ -24,17 +25,9 @@ import operator
 from collections.abc import Iterable
 from fractions import Fraction
 
-from .factorization import (
-    _Value,
-    _effort,
-    _factor_positive,
-    factorize,
-    iroot,
-    nth_root_rational,
-    primes_up_to,
-)
+from .factorization import _Value, factorize, iroot, nth_root_rational, primes_up_to
 from .radicals import ExactRoot
-from .projective import WeightedPoint, _integral, _unchecked_point
+from .projective import WeightedPoint, _unchecked_point, clear_denominators
 from .wgcd import WeightSystem, as_weight_system
 
 
@@ -92,7 +85,8 @@ def weighted_height_direct(p: WeightedPoint) -> ExactRoot:
     coordinate has absolute value 0 and never attains the max), and the
     archimedean place contributes max_i |x_i|**(1/q_i).
     """
-    nonzero = [(abs(c), q) for c, q in zip(_integral(p), p.weights) if c != 0]
+    cleared = clear_denominators(p).coords
+    nonzero = [(abs(c.numerator), q) for c, q in zip(cleared, p.weights) if c != 0]
     exponents: dict[int, Fraction] = {}
     profiles = [(factorize(c).factors if c > 1 else {}, q) for c, q in nonzero]
     support = {ell for profile, _ in profiles for ell in profile}
@@ -137,16 +131,19 @@ class KroneckerResult(_Value):
 def kronecker_check(p: WeightedPoint) -> KroneckerResult:
     """Exact height-one test plus the rational root-of-unity ratio condition.
 
-    wh(p) is the weight_product-th root of the Weil height of phi(p), so it
-    is 1 exactly when that integer is; nothing is factored.
+    wh(p) is 1 exactly when the Weil height of phi(p) is, that is when every
+    nonzero |x_i|**(1/q_i) is the same number.  Each term is cross-raised
+    against the first, |x_i|**q_0 == |x_0|**q_i, so neither phi nor any
+    factoring is needed.
     """
     terms = [(x, q) for x, q in zip(p.coords, p.weights) if x != 0]
+    x0, q0 = terms[0]
     roots = (nth_root_rational(abs(x), q) for x, q in terms)
     # A term always meets its own ratio, so every nonzero term is checked.
     condition = any(
         xi is not None and all(abs(y / xi**qj) == 1 for y, qj in terms) for xi in roots
     )
-    return KroneckerResult(weil_height(phi(p)) == 1, condition)
+    return KroneckerResult(all(abs(x) ** q0 == abs(x0) ** q for x, q in terms), condition)
 
 
 def _pullback(
@@ -210,7 +207,7 @@ def phi_preimage(y: ProjectivePoint, weights: WeightSystem | Iterable[int]) -> W
     ws = as_weight_system(weights)
     if len(y.coords) != len(ws):
         raise ValueError(f"{len(y.coords)} coordinates but {len(ws)} weights")
-    valuations = [_factor_positive(abs(c), _effort.get()) if c else {} for c in y.coords]
+    valuations = [factorize(c).factors if c else {} for c in y.coords]
     powering = [ws.weight_product // q for q in ws]
     coords = _pullback(y.coords, valuations, powering)
     return None if coords is None else _unchecked_point(tuple(map(Fraction, coords)), ws)

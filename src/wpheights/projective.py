@@ -9,10 +9,11 @@ representative suitable for exact deduplication, the naive size, and the
 weight well-forming algorithm.
 
 clear_denominators, normalize, absolutely_normalize, canonical_rep and
-naive_size share one integer path: scale to the least integral
-representative (factoring each denominator once), divide out the prime
-powers that the wgcd kernel reads from gcd(x) alone, and build one point at
-the end, or return the input when nothing changed.
+naive_size each make one call to the wgcd module's exponent kernel and one
+division: per prime p the content exponent is the min over the nonzero x_i
+of floor(v_p(x_i) / u_i), read from the denominators and the gcd of the
+numerators, and coordinate i is divided by the content to the u_i.  The
+result is built as one point, or is the input when nothing changed.
 
 The canonical representative is chosen so that two rational tuples receive
 the same representative exactly when the ordinary projective points obtained
@@ -28,9 +29,9 @@ import math
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
-from .factorization import _Value, factorize, nth_root_rational
+from .factorization import _Value, nth_root_rational
 from .radicals import ExactRoot
-from .wgcd import WeightSystem, WeightedTuple, _recombine, as_weight_system
+from .wgcd import WeightSystem, WeightedTuple, _content, _divide, as_weight_system
 
 
 class WeightedPoint(_Value):
@@ -91,47 +92,28 @@ def _result(p: WeightedPoint, coords: list[int]) -> WeightedPoint:
     return _unchecked_point(tuple(map(Fraction, coords)), p.weights)
 
 
-def _integral(p: WeightedPoint) -> list[int]:
-    """The coordinates of p scaled by the least N >= 1 making every N**q_i * x_i integral.
-
-    Each denominator is factored once.  A reduced x_i whose denominator
-    holds ell**d asks for ell**ceil(d / q_i) in N, and N takes the largest
-    such power of each ell.
-    """
-    needed: dict[int, int] = {}
-    for c, q in zip(p.coords, p.weights):
-        if c.denominator > 1:
-            for ell, d in factorize(c.denominator).factors.items():
-                needed[ell] = max(needed.get(ell, 0), -(-d // q))
-    n = math.prod(ell**e for ell, e in needed.items())
-    return [c.numerator * (n**q // c.denominator) for c, q in zip(p.coords, p.weights)]
-
-
 def _integer_coords(p: WeightedPoint) -> list[int]:
     if not p.is_integral:
         raise ValueError("normalize needs integer coordinates")
     return [c.numerator for c in p.coords]
 
 
-def _reduced(coords: list[int], units: Sequence[int]) -> list[int]:
-    """coords with coordinate i divided by m**units[i].
-
-    m is the largest integer with every m**units[i] dividing coords[i]: the
-    wgcd for units = q_i, the awgcd**weight_gcd for the reduced weights.
-    Only gcd(coords) is factored, and zero coordinates stay zero.
-    """
-    m = math.prod(ell**e for ell, e in _recombine(coords, units).items())
-    return [c // m**u for c, u in zip(coords, units)]
-
-
 def clear_denominators(p: WeightedPoint) -> WeightedPoint:
-    """Scale by the least positive integer N making every N**q_i * x_i integral."""
-    return _result(p, _integral(p))
+    """Scale by the least positive integer N making every N**q_i * x_i integral.
+
+    1/N is the content of the reciprocal denominators 1/d_i, so only the
+    denominators are factored.
+    """
+    units = p.weights.weights
+    # The int 1 stands for 1/1, so an integral point builds no Fraction.
+    reciprocals = [Fraction(1, c.denominator) if c.denominator > 1 else 1 for c in p.coords]
+    return _result(p, _divide(p.coords, units, _content(reciprocals, units)))
 
 
 def normalize(p: WeightedPoint) -> WeightedPoint:
     """Divide an integral point by wgcd**q_i per coordinate; idempotent."""
-    return _result(p, _reduced(_integer_coords(p), p.weights.weights))
+    coords, units = _integer_coords(p), p.weights.weights
+    return _result(p, _divide(coords, units, _content(coords, units)))
 
 
 def absolutely_normalize(p: WeightedPoint) -> WeightedPoint:
@@ -140,7 +122,8 @@ def absolutely_normalize(p: WeightedPoint) -> WeightedPoint:
     With awgcd = m**(1/g), g = weight_gcd, that divides x_i by the integer
     m**(q_i/g).
     """
-    return _result(p, _reduced(_integer_coords(p), p.weights.reduced_weights))
+    coords, units = _integer_coords(p), p.weights.reduced_weights
+    return _result(p, _divide(coords, units, _content(coords, units)))
 
 
 def equivalent(p: WeightedPoint, r: WeightedPoint) -> Fraction | None:
@@ -172,8 +155,10 @@ def equivalent(p: WeightedPoint, r: WeightedPoint) -> Fraction | None:
 def canonical_rep(p: WeightedPoint) -> WeightedPoint:
     """Deterministic representative identifying points with equal powered images.
 
-    Clears denominators, divides out the absolute weighted gcd of the nonzero
-    coordinates (pinning the magnitudes of the class), then fixes signs:
+    Divides out the content of the nonzero coordinates for the units
+    q_i / g, g the gcd of their weights, which clears denominators and
+    removes the absolute weighted gcd in one pass (pinning the magnitudes of
+    the class), then fixes signs:
     coordinates whose powering exponent weight_product/q_i is even lose their
     sign entirely, and when every nonzero coordinate has an odd exponent the
     whole tuple may flip, so the first nonzero coordinate is made positive.
@@ -184,10 +169,10 @@ def canonical_rep(p: WeightedPoint) -> WeightedPoint:
     zero positions), so the resulting magnitudes are the unique smallest ones
     among tuples sharing the powered projective image.
     """
-    coords = _integral(p)
-    live_gcd = math.gcd(*(q for c, q in zip(coords, p.weights) if c != 0))
+    live_gcd = math.gcd(*(q for c, q in zip(p.coords, p.weights) if c != 0))
     # A zero coordinate stays zero whatever its unit, so it constrains nothing.
-    coords = _reduced(coords, [q // live_gcd for q in p.weights])
+    units = [q // live_gcd for q in p.weights]
+    coords = _divide(p.coords, units, _content(p.coords, units))
     product = p.weights.weight_product
     even = [(product // q) % 2 == 0 for q in p.weights]
     coords = [abs(c) if e else c for c, e in zip(coords, even)]
@@ -205,7 +190,8 @@ def naive_size(p: WeightedPoint) -> ExactRoot:
     and agrees with it exactly when the powered tuple of the normalized
     representative has gcd 1.
     """
-    coords = _reduced(_integral(p), p.weights.weights)
+    units = p.weights.weights
+    coords = _divide(p.coords, units, _content(p.coords, units))
     return max(ExactRoot(abs(c), q) for c, q in zip(coords, p.weights) if c != 0)
 
 

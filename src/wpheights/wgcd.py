@@ -4,8 +4,10 @@ A weight system (q_0, ..., q_n) grades each coordinate of a tuple.  The
 weighted gcd is the largest integer d with d**q_i dividing x_i for every i;
 the absolute variant allows any positive real d whose powers d**q_i are
 integers, and always comes out as a root of an integer with index dividing
-gcd(q_0, ..., q_n).  Both factor only gcd(x) and recombine; the tests hold
-them to exact agreement with a route that factors every coordinate.
+gcd(q_0, ..., q_n).  Both read one exponent kernel, per prime p the min of
+floor(v_p(x_i) / u_i) over the nonzero x_i, that factors only gcd(x) (and
+the denominators of rational input); projective.py divides by it too.  The
+tests hold both to exact agreement with a route that factors every coordinate.
 
 Zero coordinates never constrain the divisor (d**q divides 0 for every d);
 the all-zero tuple is rejected.  Signs are ignored: divisors are positive.
@@ -94,26 +96,39 @@ def _as_int(value) -> int:
     return as_fraction.numerator
 
 
-def _recombine(coords: Sequence[int], divisors: Sequence[int]) -> dict[int, int]:
-    """Per prime, the min over nonzero coordinates of floor(v_p(x_i) / divisors[i]).
+def _content(coords: Sequence[int | Fraction], units: Sequence[int]) -> dict[int, int]:
+    """Per prime p, the nonzero e_p = min over nonzero x_i of floor(v_p(x_i) / units[i]).
 
-    Returns only the positive exponents.  Only gcd(x) is factored: a prime
-    outside it has v_p(x_i) = 0 for some i.  The exponent of p is at most
-    v_p(gcd(x)) // min(divisors), often 0; when it is not, the valuations of
-    the coordinates come from repeated division.
+    c = prod p**e_p is the content: every x_i / c**units[i] is an integer
+    with no prime left to divide out.  A reduced fraction shares no prime
+    between numerator and denominator, so only the denominators and the gcd
+    of the numerators are factored; a numerator's valuation at a prime of
+    that gcd comes from repeated division, when v_p(gcd) >= min(units).
     """
-    nonzero = [(abs(c), u) for c, u in zip(coords, divisors) if c != 0]
-    g = math.gcd(*(c for c, _ in nonzero))
-    if g == 1:
-        return {}
-    unit_min = min(u for _, u in nonzero)
-    exponents = {}
-    for p, s in factorize(g).factors.items():
-        if s >= unit_min:
-            e = min(_extract(c, p)[1] // u for c, u in nonzero)
-            if e:
-                exponents[p] = e
+    exponents: dict[int, int] = {}
+    for c, u in zip(coords, units):
+        if c.denominator > 1:
+            for ell, k in factorize(c.denominator).factors.items():
+                exponents[ell] = min(exponents.get(ell, 0), -k // u)
+    g = math.gcd(*(c.numerator for c in coords))  # a zero coordinate leaves it alone
+    if g > 1:
+        nonzero = [(abs(c.numerator), u) for c, u in zip(coords, units) if c]
+        unit_min = min(u for _, u in nonzero)
+        for p, s in factorize(g).factors.items():
+            if s >= unit_min:
+                e = min(_extract(a, p)[1] // u for a, u in nonzero)
+                if e:
+                    exponents[p] = e
     return exponents
+
+
+def _divide(
+    coords: Sequence[int | Fraction], units: Sequence[int], exponents: dict[int, int]
+) -> list[int]:
+    """The integers coords[i] / c**units[i] for c = prod p**e over exponents."""
+    up = math.prod(p**e for p, e in exponents.items() if e > 0)
+    down = math.prod(p**-e for p, e in exponents.items() if e < 0)
+    return [c.numerator * down**u // (c.denominator * up**u) for c, u in zip(coords, units)]
 
 
 def wgcd(x: WeightedTuple) -> int:
@@ -121,7 +136,7 @@ def wgcd(x: WeightedTuple) -> int:
 
     Only gcd(x) is factored: a prime outside it cannot divide d.
     """
-    return math.prod(p**e for p, e in _recombine(x.coords, x.weights.weights).items())
+    return math.prod(p**e for p, e in _content(x.coords, x.weights.weights).items())
 
 
 def awgcd(x: WeightedTuple) -> ExactRoot:
@@ -133,7 +148,7 @@ def awgcd(x: WeightedTuple) -> ExactRoot:
     those exponents, so gcd(x) is the only number factored.
     """
     g = x.weights.weight_gcd
-    exponents = _recombine(x.coords, x.weights.reduced_weights)
+    exponents = _content(x.coords, x.weights.reduced_weights)
     return ExactRoot._from_exponents({p: Fraction(e, g) for p, e in exponents.items()})
 
 

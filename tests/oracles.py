@@ -6,7 +6,8 @@ factor every coordinate (integer and rational), used as independent oracles
 for the production routes (which factor only gcd(x)), the point operations
 on Fraction points (denominators cleared through one valuation per prime and
 coordinate, gcds divided out through the factoring wgcd/awgcd; the library
-runs one integer clear-and-divide kernel), the equivalence test that
+reads one signed content per prime from the denominators and the gcd of
+the numerators, and divides once), the equivalence test that
 factors every coordinate ratio (the library takes one exact root of the
 ratio at the least weight of the support instead), the pullback that takes integer roots of
 the scaled coordinates (the library builds them prime by prime from the

@@ -9,9 +9,10 @@ weights up to (7,8,9,10).  Factoring such values would exhaust the default
 effort and raise IncompleteFactorizationError after tens of seconds.
 
 Time budget: every call must return within BUDGET_S seconds.  On a 2-vCPU
-x86-64 machine with Python 3.11 the slowest calls here, phi and
-kronecker_check under weights (7,8,9,10), take up to about 0.2 s (the gcd of
-the powered coordinates); equivalent takes under 1 ms.
+x86-64 machine with Python 3.11 the slowest calls here, phi under weights
+(7,8,9,10), take up to about 0.2 s (the gcd of the powered coordinates);
+kronecker_check, which cross-raises instead of calling phi, and equivalent
+take under 1 ms, also on the points scaled by lam.
 """
 
 import importlib
@@ -115,6 +116,7 @@ def test_hard_points_factor_nothing(no_factoring, weights):
         assert (result.height_is_one, result.ratio_condition) == (False, False)
 
         target = scale(p, lam)
+        assert _timed(kronecker_check, target) == result
         witness = _timed(equivalent, p, target)
         assert witness is not None and abs(witness) == abs(lam)
         assert scale(p, witness) == target

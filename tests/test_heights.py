@@ -191,6 +191,30 @@ def test_kronecker_ratio_condition_implies_height_one_seeded():
         assert result.height_is_one
 
 
+def test_kronecker_height_one_matches_the_weil_height_of_phi_seeded():
+    # Scaled points whose |x_i|**(1/q_i) all equal m**(1/g), g the weight
+    # gcd, so that the common value is often irrational; half of them get one
+    # coordinate multiplied by a small factor.
+    rng = random.Random(1818)
+    ones = 0
+    for _ in range(2000):
+        length = rng.randint(1, 4)
+        g = rng.randint(1, 3)
+        weights = [g * rng.randint(1, 3) for _ in range(length)]
+        m = rng.randint(1, 6)
+        coords = [rng.choice((0, 1, -1)) * m ** (q // g) for q in weights]
+        i = rng.randrange(length)
+        coords[i] = m ** (weights[i] // g)
+        if rng.random() < 0.5:
+            coords[rng.randrange(length)] *= rng.choice((2, 3, 4, Fraction(1, 2)))
+        lam = Fraction(rng.choice((1, -1)) * rng.randint(1, 12), rng.randint(1, 12))
+        point = scale(WeightedPoint(coords, weights), lam)
+        expected = weil_height(phi(point)) == 1
+        assert kronecker_check(point).height_is_one == expected, point
+        ones += expected
+    assert 500 < ones < 1800
+
+
 def test_phi_preimage_examples():
     found = phi_preimage(ProjectivePoint((1, 2)), (2, 3))
     assert found is not None and found.coords == (2, 4)
@@ -425,10 +449,10 @@ def test_enumeration_factors_no_grid_coordinate(monkeypatch, weights, bound, cla
     # through ExactRoot's own factoring.  The last two cases were pinned from
     # the lcm-image scan, which takes seconds on them (its grid holds about
     # 10**6 and 9 * 10**4 points); the walk stays far inside the budget.
-    def refuse(n, config):
+    def refuse(n, config=None):
         raise AssertionError(f"factored grid coordinate {n}")
 
-    monkeypatch.setattr(wpheights.heights, "_factor_positive", refuse)
+    monkeypatch.setattr(wpheights.heights, "factorize", refuse)
     start = time.process_time()
     listing = bounded_points(weights, bound)
     assert time.process_time() - start < 2.0

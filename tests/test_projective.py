@@ -230,11 +230,9 @@ def test_unchanged_points_come_back_as_is():
     assert canonical_rep(rep) is rep
 
 
-def test_awgcd_and_canonical_rep_factor_only_gcd(monkeypatch):
-    # awgcd = (2**4 * 3**3 * 1000003**2)**(1/2): the root is built from the
-    # exponents found in gcd(x), not by factoring its radicand again.
-    big = 1000003
-    t = WeightedTuple((2**6 * 3**4 * big**2, 2**8 * 3**6 * big**4), (2, 4))
+@pytest.fixture
+def factorize_calls(monkeypatch):
+    """The values passed to factorize from any wpheights module, in call order."""
     calls = []
     original = wpheights.factorization.factorize
 
@@ -245,12 +243,34 @@ def test_awgcd_and_canonical_rep_factor_only_gcd(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("wpheights.") and getattr(module, "factorize", None) is original:
             monkeypatch.setattr(module, "factorize", counting)
+    return calls
+
+
+def test_awgcd_and_canonical_rep_factor_only_gcd(factorize_calls):
+    # awgcd = (2**4 * 3**3 * 1000003**2)**(1/2): the root is built from the
+    # exponents found in gcd(x), not by factoring its radicand again.
+    big = 1000003
+    t = WeightedTuple((2**6 * 3**4 * big**2, 2**8 * 3**6 * big**4), (2, 4))
     root = awgcd(t)
-    assert len(calls) == 1
+    assert len(factorize_calls) == 1
     assert (root.radicand, root.index) == (2**4 * 3**3 * big**2, 2)
-    calls.clear()
+    factorize_calls.clear()
     assert canonical_rep(WeightedPoint(t.coords, t.weights)).coords == (12, 1)
-    assert len(calls) == 1
+    assert len(factorize_calls) == 1
+
+
+def test_canonical_rep_factors_a_denominator_prime_once(factorize_calls):
+    # One pass over the denominators and the gcd of the numerators (here 1):
+    # the 2 cleared from 1/2 is not factored again as part of gcd(x).
+    assert canonical_rep(WeightedPoint((Fraction(1, 2), 1), (2, 2))).coords == (1, 2)
+    assert factorize_calls == [2]
+
+
+def test_clear_denominators_factors_only_denominators(factorize_calls):
+    big = 10**30 + 57  # prime; gcd of the numerators, never factored here
+    cleared = clear_denominators(WeightedPoint((Fraction(big, 2), 3 * big), (2, 3)))
+    assert cleared.coords == (2 * big, 24 * big)
+    assert factorize_calls == [2]
 
 
 def test_canonical_rep_sign_classes_all_even_powering():
