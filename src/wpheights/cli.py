@@ -244,6 +244,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def console_main() -> None:
+    # Exact answers can pass the default 4,300-digit limit on int <-> str
+    # conversion (Python 3.10.7+).  Lift it here, not in main(), so that an
+    # in-process caller keeps its own setting.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     sys.exit(main())
 
 

@@ -42,11 +42,11 @@ class ProjectivePoint(_Value):
     coords: tuple[int, ...]
 
     def __init__(self, coords: Iterable[int | Fraction]) -> None:
-        cs = [Fraction(c) for c in coords]
+        cs = [c if isinstance(c, int) else Fraction(c) for c in coords]
         if not any(cs):
             raise ValueError("all coordinates are zero")
         common = math.lcm(*(c.denominator for c in cs))
-        zs = [int(c * common) for c in cs]
+        zs = [c.numerator * (common // c.denominator) for c in cs]
         g = math.gcd(*zs)
         zs = [z // g for z in zs]
         if next(z for z in zs if z != 0) < 0:
@@ -61,10 +61,13 @@ def phi(p: WeightedPoint) -> ProjectivePoint:
     """Raise coordinate i to weight_product/q_i and reduce projectively.
 
     Scaling-class invariant: equivalent weighted points map to the same
-    ordinary projective point.
+    ordinary projective point.  Numerators and denominators are raised apart,
+    as integers, and the powers are put over their least common denominator.
     """
-    product = p.weights.weight_product
-    return ProjectivePoint(c ** (product // q) for c, q in zip(p.coords, p.weights))
+    exponents = [p.weights.weight_product // q for q in p.weights]
+    powers = [(c.numerator**e, c.denominator**e) for c, e in zip(p.coords, exponents)]
+    common = math.lcm(*(d for _, d in powers))
+    return ProjectivePoint(a * (common // d) for a, d in powers)
 
 
 def weil_height(y: ProjectivePoint) -> int:
@@ -74,7 +77,7 @@ def weil_height(y: ProjectivePoint) -> int:
 
 def weighted_height(p: WeightedPoint) -> ExactRoot:
     """Exact weighted height: the weight_product-th root of the Weil height of phi(p)."""
-    return ExactRoot(Fraction(weil_height(phi(p))), p.weights.weight_product)
+    return ExactRoot(weil_height(phi(p)), p.weights.weight_product)
 
 
 def weighted_height_direct(p: WeightedPoint) -> ExactRoot:
@@ -83,17 +86,15 @@ def weighted_height_direct(p: WeightedPoint) -> ExactRoot:
     On an integer representative each prime ell contributes
     ell**(-min_i v_ell(x_i)/q_i) over the nonzero coordinates (a zero
     coordinate has absolute value 0 and never attains the max), and the
-    archimedean place contributes max_i |x_i|**(1/q_i).
+    archimedean place contributes max_i |x_i|**(1/q_i).  The exponents are
+    kept times L = lcm of the nonzero coordinates' weights, as integers.
     """
     cleared = clear_denominators(p).coords
     nonzero = [(abs(c.numerator), q) for c, q in zip(cleared, p.weights) if c != 0]
-    exponents: dict[int, Fraction] = {}
-    profiles = [(factorize(c).factors if c > 1 else {}, q) for c, q in nonzero]
+    lcm = math.lcm(*(q for _, q in nonzero))
+    profiles = [(factorize(c).factors if c > 1 else {}, lcm // q) for c, q in nonzero]
     support = {ell for profile, _ in profiles for ell in profile}
-    for ell in support:
-        drop = min(Fraction(profile.get(ell, 0), q) for profile, q in profiles)
-        if drop:
-            exponents[ell] = -drop
+    exponents = {ell: -min(profile.get(ell, 0) * s for profile, s in profiles) for ell in support}
     largest = 0
     for i, (c, q) in enumerate(nonzero):
         # c**(1/q) against the largest term so far, both raised to a common index.
@@ -101,10 +102,10 @@ def weighted_height_direct(p: WeightedPoint) -> ExactRoot:
         common = math.lcm(q, qb)
         if c ** (common // q) > cb ** (common // qb):
             largest = i
-    profile, q = profiles[largest]
+    profile, s = profiles[largest]
     for ell, e in profile.items():
-        exponents[ell] = exponents.get(ell, Fraction(0)) + Fraction(e, q)
-    return ExactRoot._from_exponents(exponents)
+        exponents[ell] += e * s
+    return ExactRoot._from_exponents(exponents, lcm)
 
 
 def log_weighted_height(p: WeightedPoint) -> float:
@@ -141,7 +142,7 @@ def kronecker_check(p: WeightedPoint) -> KroneckerResult:
     roots = (nth_root_rational(abs(x), q) for x, q in terms)
     # A term always meets its own ratio, so every nonzero term is checked.
     condition = any(
-        xi is not None and all(abs(y / xi**qj) == 1 for y, qj in terms) for xi in roots
+        xi is not None and all(abs(y) == xi**qj for y, qj in terms) for xi in roots
     )
     return KroneckerResult(all(abs(x) ** q0 == abs(x0) ** q for x, q in terms), condition)
 
@@ -322,7 +323,7 @@ def bounded_points(
     if bound < 1:
         return []
     if not isinstance(bound, ExactRoot):
-        bound = ExactRoot(Fraction(bound))
+        bound = ExactRoot(bound)
     lcm = math.lcm(*ws)
     box = _floor_power(bound, lcm)
     primes = primes_up_to(box) if len(ws) > 1 else []  # only a longer support takes a prime
@@ -350,7 +351,7 @@ def bounded_points(
                     for h, magnitudes in found
                 )
     classes.sort()
-    heights = {h: ExactRoot(Fraction(h), lcm) for h in {h for h, _ in classes}}
+    heights = {h: ExactRoot(h, lcm) for h in {h for h, _ in classes}}
     coordinates = set(itertools.chain.from_iterable(rep for _, rep in classes))
     fractions = {c: Fraction(c) for c in coordinates}
     return [

@@ -1,21 +1,28 @@
 """Canonical exact radicals: positive reals of the form m**(1/k).
 
 An :class:`ExactRoot` stores a positive rational radicand and a positive
-integer index, always reduced so the index is minimal (no divisor d > 1 of
-the index leaves the radicand a d-th rational power).  That makes structural
-equality coincide with equality of real values, and lets comparisons
-and products stay bit-exact via big-integer cross-raising.
+integer index, always reduced so the index is minimal: one builder divides
+the index and the radicand's integer prime exponents by their gcd.  That
+makes structural equality coincide with equality of real values, and lets
+comparisons and products stay bit-exact via big-integer cross-raising.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Mapping
 from fractions import Fraction
 from functools import reduce
 
 from .factorization import _Value, factorize
+
+
+def _reduced_parts(exponents: dict[int, int], index: int) -> tuple[Fraction, int]:
+    """prod p**(e/index) as (prod p**(e/s), index/s), s = gcd of index and every e."""
+    shrink = reduce(math.gcd, exponents.values(), index)
+    up = math.prod(p ** (e // shrink) for p, e in exponents.items() if e > 0)
+    down = math.prod(p ** (-e // shrink) for p, e in exponents.items() if e < 0)
+    return Fraction(up, down), index // shrink
 
 
 def _canonical_parts(radicand: Fraction, index: int) -> tuple[Fraction, int]:
@@ -27,15 +34,7 @@ def _canonical_parts(radicand: Fraction, index: int) -> tuple[Fraction, int]:
         return Fraction(1), 1
     if index == 1:
         return radicand, 1
-    exponents = factorize(radicand).factors
-    shrink = reduce(math.gcd, exponents.values(), index)
-    if shrink == 1:
-        return radicand, index
-    new_index = index // shrink
-    new_radicand = Fraction(1)
-    for p, e in exponents.items():
-        new_radicand *= Fraction(p) ** (e // shrink)
-    return new_radicand, new_index
+    return _reduced_parts(factorize(radicand).factors, index)
 
 
 class ExactRoot(_Value):
@@ -55,14 +54,10 @@ class ExactRoot(_Value):
         object.__setattr__(self, "index", index)
 
     @classmethod
-    def _from_exponents(cls, exponents: Mapping[int, Fraction]) -> "ExactRoot":
-        """Build prod(p**e) for rational exponents; canonical by construction."""
-        exponents = {p: Fraction(e) for p, e in exponents.items() if e != 0}
-        index = reduce(math.lcm, (e.denominator for e in exponents.values()), 1)
-        radicand = Fraction(1)
-        for p, e in exponents.items():
-            radicand *= Fraction(p) ** int(e * index)
+    def _from_exponents(cls, exponents: dict[int, int], index: int) -> "ExactRoot":
+        """Build prod(p**(e/index)) for integer exponents e, with no factoring."""
         root = object.__new__(cls)
+        radicand, index = _reduced_parts(exponents, index)
         object.__setattr__(root, "radicand", radicand)
         object.__setattr__(root, "index", index)
         return root

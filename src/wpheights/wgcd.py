@@ -147,9 +147,8 @@ def awgcd(x: WeightedTuple) -> ExactRoot:
     the reduced weights qbar_i = q_i / weight_gcd.  The root is built from
     those exponents, so gcd(x) is the only number factored.
     """
-    g = x.weights.weight_gcd
     exponents = _content(x.coords, x.weights.reduced_weights)
-    return ExactRoot._from_exponents({p: Fraction(e, g) for p, e in exponents.items()})
+    return ExactRoot._from_exponents(exponents, x.weights.weight_gcd)
 
 
 def generalized_wgcd(

@@ -9,7 +9,8 @@ coordinate, gcds divided out through the factoring wgcd/awgcd; the library
 reads one signed content per prime from the denominators and the gcd of
 the numerators, and divides once), the equivalence test that
 factors every coordinate ratio (the library takes one exact root of the
-ratio at the least weight of the support instead), the pullback that takes integer roots of
+ratio at the least weight of the support instead), phi on Fraction powers
+(the library raises integers), the pullback that takes integer roots of
 the scaled coordinates (the library builds them prime by prime from the
 valuations), the enumerator that canonicalizes every pullback, and
 the lcm-image scan that pulls every projective point of Weil height at most
@@ -247,6 +248,16 @@ def equivalent_factoring(p: WeightedPoint, r: WeightedPoint) -> Fraction | None:
         if scale(p, lam).coords == r.coords:
             return lam
     return None
+
+
+def phi_fraction(p: WeightedPoint) -> ProjectivePoint:
+    """phi by raising the Fraction coordinates themselves.
+
+    ProjectivePoint clears the denominators of the powers; the library
+    raises numerators and denominators apart, as integers.
+    """
+    product = p.weights.weight_product
+    return ProjectivePoint(c ** (product // q) for c, q in zip(p.coords, p.weights))
 
 
 def weil_height_of_raw(coords, weights) -> int:

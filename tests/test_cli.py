@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -173,3 +175,50 @@ def test_factor_bound_below_two_is_a_usage_error(bound):
     with pytest.raises(SystemExit) as excinfo:
         main(["wgcd", "-w", "3,2", "--factor-bound", bound, "1440,700"])
     assert excinfo.value.code == 2
+
+
+@pytest.fixture
+def digits_unlimited():
+    """Lift this process's limit on int <-> str conversion for one test, if it has one."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python 3.10.0 to 3.10.6
+        yield
+        return
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(before)
+
+
+def _console(*argv: str) -> subprocess.CompletedProcess:
+    """Run the CLI as a program, through console_main, with this checkout's sources."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); "
+        "from wpheights.cli import console_main; console_main()"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=60
+    )
+
+
+def test_console_prints_more_than_4300_digits(digits_unlimited):
+    # phi raises the first coordinate to 20000 / 1 and the second to 20000 / 20000.
+    result = _console("phi", "-w", "1,20000", "2,1")
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == f"[{2**20000}:1]\n"
+    assert len(result.stdout) == 6026
+
+
+def test_console_reads_more_than_4300_digits(digits_unlimited):
+    # Coprime coordinates under weights (1,1) are their own canonical representative.
+    big = str(3**11000)
+    result = _console("canon", "-w", "1,1", f"{big},1")
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == f"[{big}:1]\n"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
+def test_main_leaves_the_digit_limit_alone(capsys):
+    before = sys.get_int_max_str_digits()
+    assert run(capsys, "phi", "-w", "1,1", "2,3")[0] == 0
+    assert sys.get_int_max_str_digits() == before

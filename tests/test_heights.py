@@ -12,6 +12,7 @@ from oracles import (
     bounded_points_canonicalizing,
     bounded_points_scan,
     factor_table,
+    phi_fraction,
     phi_preimage_iroot,
     projective_grid,
     weil_height_of_raw,
@@ -58,6 +59,22 @@ def test_phi_is_class_invariant():
     p = WeightedPoint((15, 175), (2, 4))
     assert phi(scale(p, Fraction(2, 3))) == phi(p)
     assert phi(scale(p, -5)) == phi(p)
+
+
+def test_phi_matches_the_fraction_route():
+    # Rational points with zeros and signs, on weights that share factors.
+    rng = random.Random(1919)
+    systems = [(1, 1), (2, 4), (2, 3), (4, 6), (1, 2, 3), (2, 4, 6), (3, 6, 9, 12), (1, 12, 10)]
+    for _ in range(2000):
+        ws = rng.choice(systems)
+        coords = [
+            0 if rng.random() < 0.2 else Fraction(rng.randint(-60, 60), rng.randint(1, 60))
+            for _ in ws
+        ]
+        if not any(coords):
+            coords[rng.randrange(len(ws))] = Fraction(rng.randint(1, 60), rng.randint(1, 60))
+        p = WeightedPoint(coords, ws)
+        assert phi(p) == phi_fraction(p)
 
 
 def test_weil_height_examples():

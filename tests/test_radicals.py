@@ -35,10 +35,24 @@ def test_invalid_inputs():
     st.integers(min_value=2, max_value=50),
     st.integers(min_value=1, max_value=6),
     st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=50),
 )
 @settings(max_examples=200, deadline=None)
-def test_canonical_uniqueness(m, k, j):
-    assert ExactRoot(Fraction(m) ** k, k * j) == ExactRoot(m, j)
+def test_canonical_uniqueness(m, k, j, d):
+    r = Fraction(m, d)
+    assert ExactRoot(r**k, k * j) == ExactRoot(r, j)
+
+
+def test_from_exponents_matches_the_factoring_constructor():
+    # Signed exponents (zero included) over an index: the builder that takes
+    # them as given and the constructor that factors their product agree.
+    rng = random.Random(19)
+    for _ in range(2000):
+        primes = rng.sample([2, 3, 5, 7, 11, 13, 1009, 65537], rng.randint(0, 4))
+        exponents = {p: rng.randint(-12, 12) for p in primes}
+        index = rng.randint(1, 24)
+        value = math.prod((Fraction(p) ** e for p, e in exponents.items()), start=Fraction(1))
+        assert ExactRoot._from_exponents(exponents, index) == ExactRoot(value, index)
 
 
 def test_compare_examples():
