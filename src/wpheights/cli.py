@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import re
 import sys
 from fractions import Fraction
@@ -249,7 +250,16 @@ def console_main() -> None:
     # in-process caller keeps its own setting.
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early (`... | head`), which is not an
+        # error.  Point stdout at devnull so the interpreter's last flush
+        # stays quiet too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 0
+    sys.exit(status)
 
 
 if __name__ == "__main__":

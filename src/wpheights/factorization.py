@@ -5,9 +5,14 @@ explicit :class:`IncompleteFactorizationError`, never a silently wrong answer.
 The factoring pipeline is trial division by small primes, a deterministic
 strong-pseudoprime certificate, and a seeded Brent/Pollard rho stage for the
 composite cofactors, with a final trial-division sweep up to the configured
-bound before giving up.  Primality of a factor below ~3.3e24 is proven; above
-that it rests on Bach's GRH-conditional base bound (see :func:`is_prime`).  All stages are deterministic functions of
-the input and the configuration seed, so results are reproducible and safe to
+bound before giving up.  Every stage divides a prime it finds out of its
+cofactor completely, so a power of a prime above the trial table costs one
+rho run.  Rho still needs about sqrt(p) steps to find a prime p, so a
+composite cofactor whose smallest prime has 14 or more digits, such as the
+cube of a 31-digit prime, outlasts the default effort.  Primality of a factor
+below ~3.3e24 is proven; above that it rests on Bach's GRH-conditional base
+bound (see :func:`is_prime`).  All stages are deterministic functions of the
+input and the configuration seed, so results are reproducible and safe to
 share between threads.
 """
 
@@ -155,7 +160,7 @@ def _sieve(limit: int) -> list[int]:
     flags[0] = flags[1] = 0
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
-            flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
+            flags[p * p :: p] = bytes((limit - p * p) // p + 1)
     return [i for i, f in enumerate(flags) if f]
 
 
@@ -299,6 +304,13 @@ def _factor_positive(n: int, config: FactorConfig) -> dict[int, int]:
         d = _pollard_rho(m, config)
         if d is None:
             stubborn.append(m)
+            continue
+        if is_prime(d):
+            # Divide the prime out completely, so no later run finds it again.
+            m, e = _extract(m, d)
+            factors[d] = factors.get(d, 0) + e
+            if m > 1:
+                pending.append(m)
             continue
         pending.append(d)
         pending.append(m // d)

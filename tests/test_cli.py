@@ -189,16 +189,18 @@ def digits_unlimited():
     sys.set_int_max_str_digits(before)
 
 
-def _console(*argv: str) -> subprocess.CompletedProcess:
-    """Run the CLI as a program, through console_main, with this checkout's sources."""
+def _console_command(*argv: str) -> list[str]:
+    """argv that runs the CLI as a program, through console_main, on this checkout's sources."""
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         f"import sys; sys.path.insert(0, {str(src)!r}); "
         "from wpheights.cli import console_main; console_main()"
     )
-    return subprocess.run(
-        [sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=60
-    )
+    return [sys.executable, "-c", code, *argv]
+
+
+def _console(*argv: str) -> subprocess.CompletedProcess:
+    return subprocess.run(_console_command(*argv), capture_output=True, text=True, timeout=60)
 
 
 def test_console_prints_more_than_4300_digits(digits_unlimited):
@@ -215,6 +217,22 @@ def test_console_reads_more_than_4300_digits(digits_unlimited):
     result = _console("canon", "-w", "1,1", f"{big},1")
     assert (result.returncode, result.stderr) == (0, "")
     assert result.stdout == f"[{big}:1]\n"
+
+
+def test_console_exits_quietly_when_the_reader_stops_early():
+    # As in `enumerate -w 1,1 -B 300 | head -n 1`: the listing (about 1.7 MB)
+    # overflows the pipe buffer, so the CLI writes into a pipe closed under it.
+    with subprocess.Popen(
+        _console_command("enumerate", "-w", "1,1", "-B", "300"),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    ) as process:
+        first = process.stdout.readline()
+        process.stdout.close()
+        stderr = process.stderr.read()
+        status = process.wait(timeout=60)
+    assert (first, status, stderr) == ("[0:1] h=1\n", 0, "")
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")

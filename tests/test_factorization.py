@@ -103,6 +103,65 @@ def test_trial_sweep_finishes_what_rho_leaves():
     assert factorize(4099 * 10007 * 999983, no_rho).factors == {4099: 1, 10007: 1, 999983: 1}
 
 
+@pytest.mark.parametrize(
+    "n, rho_runs",
+    [
+        ((2**31 - 1) ** 6, 1),
+        (1_000_003**12, 1),
+        (12 * 999_999_937**6, 1),
+        (999_983**3 * 1_000_003**2, 2),
+    ],
+    ids=["(2**31-1)**6", "1000003**12", "12*999999937**6", "999983**3*1000003**2"],
+)
+def test_rho_runs_once_per_large_prime(monkeypatch, n, rho_runs):
+    # A prime that rho finds is divided out completely, so a power of a prime
+    # above the trial table is not split by rho once per factor of its power.
+    calls = []
+    rho = wpheights.factorization._pollard_rho
+    monkeypatch.setattr(
+        wpheights.factorization, "_pollard_rho", lambda m, config: calls.append(m) or rho(m, config)
+    )
+    result = factorize(n)
+    assert factorization_value(result) == n
+    assert len(calls) == rho_runs
+
+
+def _prime_power_corpus(size: int = 300, seed: int = 20261020) -> list[dict[int, int]]:
+    """Seeded factorizations: 1-3 powers of 5-9 digit primes, times a smooth part."""
+    rng = random.Random(seed)
+    small = primes_up_to(71)
+    corpus = []
+    for _ in range(size):
+        factors: dict[int, int] = {}
+        for _ in range(rng.randint(1, 3)):
+            digits = rng.randint(5, 9)
+            p = rng.randrange(10 ** (digits - 1), 10**digits) | 1
+            while not is_prime(p):
+                p += 2
+            factors[p] = factors.get(p, 0) + rng.randint(1, 6)
+        for p in rng.sample(small, rng.randint(0, 3)):
+            factors[p] = rng.randint(1, 4)
+        corpus.append(factors)
+    return corpus
+
+
+def test_factorize_prime_power_corpus():
+    for expected in _prime_power_corpus():
+        n = math.prod(p**e for p, e in expected.items())
+        result = factorize(n)
+        assert factorization_value(result) == n
+        assert all(is_prime(p) for p in result.factors)
+        assert result.factors == expected
+
+
+def test_prime_power_corpus_against_sympy():
+    # An independent check that the corpus's primes are prime, and so that
+    # the expected factorizations above are the true ones.
+    sympy = pytest.importorskip("sympy")
+    for expected in _prime_power_corpus():
+        assert sympy.factorint(math.prod(p**e for p, e in expected.items())) == expected
+
+
 def test_factorize_deterministic_across_calls():
     n = 10**15 + 37
     assert factorize(n) == factorize(n)
@@ -187,7 +246,8 @@ def test_large_primality_tests_leave_module_state_alone():
     assert after.keys() == before.keys()
     for name, (value, size) in before.items():
         assert after[name][0] is value and after[name][1] == size, name
-    for n in (1, 2, 4096, 4097, 70000):
+    # 4095-4097 straddle the fixed table's limit; 69169 = 263**2 ends on a strike.
+    for n in (1, 2, 4095, 4096, 4097, 69169, 70000):
         assert primes_up_to(n) == module._sieve(n)
 
 
