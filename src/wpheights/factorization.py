@@ -2,11 +2,12 @@
 
 Everything here is exact: a result is either a prime decomposition or an
 explicit :class:`IncompleteFactorizationError`, never a silently wrong answer.
-The factoring pipeline is trial division by small primes, a deterministic
-strong-pseudoprime certificate, and a seeded Brent/Pollard rho stage for the
-composite cofactors, with a final trial-division sweep up to the configured
-bound before giving up.  Every stage divides a prime it finds out of its
-cofactor completely, so a power of a prime above the trial table costs one
+The factoring pipeline is one loop: trial division by the fixed table of
+small primes, then for each cofactor a deterministic strong-pseudoprime
+certificate, a seeded Brent/Pollard rho stage if it is composite, and, where
+rho gives up, a last trial-division sweep up to the configured bound that
+finishes the cofactor or raises.  Every stage divides a prime it finds out of
+its cofactor completely, so a power of a prime above the trial table costs one
 rho run.  Rho still needs about sqrt(p) steps to find a prime p, so a
 composite cofactor whose smallest prime has 14 or more digits, such as the
 cube of a 31-digit prime, outlasts the default effort.  Primality of a factor
@@ -22,7 +23,7 @@ import math
 import operator
 import random
 from bisect import bisect_right
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
@@ -96,6 +97,16 @@ class _Value:
             raise TypeError(f"cannot restore {type(self).__name__} from {state!r}")
         for name, value in zip(self.__slots__, state):
             object.__setattr__(self, name, value)
+
+
+def _as_int(value) -> int:
+    """The int equal to value; a value with a fractional part raises ValueError."""
+    if type(value) is int:
+        return value
+    as_fraction = Fraction(value)
+    if as_fraction.denominator != 1:
+        raise ValueError(f"expected an integer, got {value}")
+    return as_fraction.numerator
 
 
 # Largest n for which the fixed Miller-Rabin base set below is a proven
@@ -277,66 +288,49 @@ def _extract(n: int, p: int) -> tuple[int, int]:
                 step *= 2
 
 
-def _factor_positive(n: int, config: FactorConfig) -> dict[int, int]:
-    factors: dict[int, int] = {}
-    if n == 1:
-        return factors
-    sweep_limit = max(0, min(config.trial_bound, _BASE_TRIAL_LIMIT))
-    for p in _small_primes(sweep_limit):
+def _divide_out(n: int, primes: Iterable[int], factors: dict[int, int]) -> int:
+    """Divide each listed prime up to sqrt(n) out of n into factors; return the rest."""
+    for p in primes:
         if p * p > n:
             break
         if n % p == 0:
-            n, factors[p] = _extract(n, p)
-            if n == 1:
-                return factors
-    if n > 1 and n < (sweep_limit + 1) ** 2:
-        # No factor up to the sweep limit and below its square: prime.
-        factors[n] = factors.get(n, 0) + 1
-        return factors
+            n, e = _extract(n, p)
+            factors[p] = factors.get(p, 0) + e
+    return n
 
-    pending = [n] if n > 1 else []
-    stubborn: list[int] = []
+
+def _factor_positive(n: int, config: FactorConfig) -> dict[int, int]:
+    factors: dict[int, int] = {}
+    if n == 1:  # every integer's denominator: skip the set-up below
+        return factors
+    limit = max(0, min(config.trial_bound, _BASE_TRIAL_LIMIT))
+    pending = [_divide_out(n, _small_primes(limit), factors)]
     while pending:
         m = pending.pop()
-        if is_prime(m):
+        if m == 1:
+            continue
+        # No pending cofactor has a prime up to limit, so one below its square is prime.
+        if m < (limit + 1) ** 2 or is_prime(m):
             factors[m] = factors.get(m, 0) + 1
             continue
         d = _pollard_rho(m, config)
         if d is None:
-            stubborn.append(m)
-            continue
-        if is_prime(d):
+            # Last resort, in place: trial division up to the configured bound.
+            m = _divide_out(m, primes_up_to(min(config.trial_bound, math.isqrt(m))), factors)
+            if m > 1 and not is_prime(m):
+                raise IncompleteFactorizationError(
+                    f"factorization incomplete: composite cofactor {m} exceeded the "
+                    f"configured effort (trial_bound={config.trial_bound}, "
+                    f"rho_attempts={config.rho_attempts})"
+                )
+            pending.append(m)  # 1 or a prime, recorded at the loop head
+        elif is_prime(d):
             # Divide the prime out completely, so no later run finds it again.
             m, e = _extract(m, d)
             factors[d] = factors.get(d, 0) + e
-            if m > 1:
-                pending.append(m)
-            continue
-        pending.append(d)
-        pending.append(m // d)
-
-    # Last resort: the full trial sweep up to the configured bound, sieved
-    # per call; no cofactor needs primes above the largest one's square root.
-    sweep = primes_up_to(min(config.trial_bound, math.isqrt(max(stubborn, default=0))))
-    for m in stubborn:
-        for p in sweep:
-            if p * p > m:
-                break
-            if m % p == 0:
-                m, e = _extract(m, p)
-                factors[p] = factors.get(p, 0) + e
-                if m == 1 or is_prime(m):
-                    break
-        if m == 1:
-            continue
-        if is_prime(m):
-            factors[m] = factors.get(m, 0) + 1
-            continue
-        raise IncompleteFactorizationError(
-            f"factorization incomplete: composite cofactor {m} exceeded the "
-            f"configured effort (trial_bound={config.trial_bound}, "
-            f"rho_attempts={config.rho_attempts})"
-        )
+            pending.append(m)
+        else:
+            pending += d, m // d
     return factors
 
 
@@ -363,15 +357,6 @@ class Factorization(_Value):
                 raise ValueError(f"factor key {p} is not prime")
         object.__setattr__(self, "sign", sign)
         object.__setattr__(self, "factors", factors)
-
-    def __str__(self) -> str:
-        if not self.factors:
-            body = "1"
-        else:
-            body = " * ".join(
-                f"{p}^{e}" if e != 1 else str(p) for p, e in sorted(self.factors.items())
-            )
-        return body if self.sign > 0 else f"-{body}"
 
 
 def factorize(value: int | Fraction, config: FactorConfig | None = None) -> Factorization:

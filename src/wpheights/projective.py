@@ -238,15 +238,14 @@ def well_form(weights: WeightSystem | Iterable[int]) -> WellFormingResult:
             ws = [q // g for q in ws]
             steps.append(WellFormingStep(g, None))
             continue
-        if is_well_formed(ws):
-            break
         for j in range(len(ws)):
-            others = ws[:j] + ws[j + 1 :]
-            d = math.gcd(*others)
+            d = math.gcd(*ws[:j], *ws[j + 1 :])
             if d > 1:
                 ws = [q if i == j else q // d for i, q in enumerate(ws)]
                 steps.append(WellFormingStep(d, j))
                 break
+        else:
+            break  # every leave-one-out gcd is 1 (0 for a single weight): well-formed
     return WellFormingResult(WeightSystem(ws), tuple(steps))
 
 

@@ -14,7 +14,7 @@ import operator
 from fractions import Fraction
 from functools import reduce
 
-from .factorization import _Value, factorize
+from .factorization import _Value, _as_int, factorize
 
 
 def _reduced_parts(exponents: dict[int, int], index: int) -> tuple[Fraction, int]:
@@ -49,7 +49,7 @@ class ExactRoot(_Value):
     index: int
 
     def __init__(self, radicand: Fraction | int, index: int = 1) -> None:
-        radicand, index = _canonical_parts(Fraction(radicand), int(index))
+        radicand, index = _canonical_parts(Fraction(radicand), _as_int(index))
         object.__setattr__(self, "radicand", radicand)
         object.__setattr__(self, "index", index)
 

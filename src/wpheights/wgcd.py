@@ -19,7 +19,7 @@ import math
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
-from .factorization import _Value, _extract, factorize
+from .factorization import _Value, _as_int, _extract, factorize
 from .radicals import ExactRoot
 
 
@@ -30,7 +30,7 @@ class WeightSystem(_Value):
     weights: tuple[int, ...]
 
     def __init__(self, weights: Iterable[int]) -> None:
-        ws = tuple(int(q) for q in weights)
+        ws = tuple(_as_int(q) for q in weights)
         if not ws:
             raise ValueError("a weight system needs at least one weight")
         if any(q < 1 for q in ws):
@@ -85,15 +85,6 @@ class WeightedTuple(_Value):
             raise ValueError("all coordinates are zero")
         object.__setattr__(self, "coords", cs)
         object.__setattr__(self, "weights", ws)
-
-
-def _as_int(value) -> int:
-    if isinstance(value, int):
-        return value
-    as_fraction = Fraction(value)
-    if as_fraction.denominator != 1:
-        raise ValueError(f"expected an integer coordinate, got {value}")
-    return as_fraction.numerator
 
 
 def _content(coords: Sequence[int | Fraction], units: Sequence[int]) -> dict[int, int]:

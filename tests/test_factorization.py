@@ -103,6 +103,16 @@ def test_trial_sweep_finishes_what_rho_leaves():
     assert factorize(4099 * 10007 * 999983, no_rho).factors == {4099: 1, 10007: 1, 999983: 1}
 
 
+def test_trial_sweep_ends_at_one_or_names_what_it_leaves():
+    # The sweep can take a cofactor down to 1, finish it with a prime rest,
+    # or divide out part of it and raise on the composite rest.
+    assert factorize(4099**2, FactorConfig(rho_attempts=0)).factors == {4099: 2}
+    capped = FactorConfig(trial_bound=10**4, rho_attempts=0)
+    assert factorize(4099 * 1_000_003, capped).factors == {4099: 1, 1_000_003: 1}
+    with pytest.raises(IncompleteFactorizationError, match=r"cofactor 1000036000099 exceeded"):
+        factorize(4099 * 1_000_003 * 1_000_033, capped)
+
+
 @pytest.mark.parametrize(
     "n, rho_runs",
     [

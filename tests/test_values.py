@@ -187,3 +187,20 @@ def test_cli_import_skips_dataclasses_and_inspect():
     )
     result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
     assert result.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("value", [2.5, 2.7, Fraction(5, 2)])
+def test_non_integer_weights_and_root_indexes_are_refused(value):
+    # int() would truncate each of these to 2.
+    with pytest.raises(ValueError):
+        WeightSystem((value, 3))
+    with pytest.raises(ValueError):
+        ExactRoot(2, value)
+
+
+@pytest.mark.parametrize("value", [2.0, Fraction(4, 2)])
+def test_integral_weights_and_root_indexes_are_accepted(value):
+    assert WeightSystem((value, 3)).weights == (2, 3)
+    assert type(WeightSystem((value, 3)).weights[0]) is int
+    assert ExactRoot(2, value) == ExactRoot(2, 2)
+    assert type(ExactRoot(2, value).index) is int
