@@ -125,6 +125,8 @@ class FactorConfig(_Value):
     length per rho attempt, rho_attempts the number of re-seeded attempts
     per stubborn cofactor.  seed feeds the per-cofactor rho RNG, keeping
     runs deterministic while still randomizing the polynomial constants.
+    Each field is stored as an int; a value with a fractional part raises
+    ValueError.
     """
 
     __slots__ = ("trial_bound", "rho_iterations", "rho_attempts", "seed")
@@ -140,10 +142,10 @@ class FactorConfig(_Value):
         rho_attempts: int = 32,
         seed: int = 0,
     ) -> None:
-        object.__setattr__(self, "trial_bound", trial_bound)
-        object.__setattr__(self, "rho_iterations", rho_iterations)
-        object.__setattr__(self, "rho_attempts", rho_attempts)
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "trial_bound", _as_int(trial_bound))
+        object.__setattr__(self, "rho_iterations", _as_int(rho_iterations))
+        object.__setattr__(self, "rho_attempts", _as_int(rho_attempts))
+        object.__setattr__(self, "seed", _as_int(seed))
 
 
 _effort: ContextVar[FactorConfig] = ContextVar("factor_config", default=FactorConfig())
@@ -362,13 +364,16 @@ class Factorization(_Value):
 def factorize(value: int | Fraction, config: FactorConfig | None = None) -> Factorization:
     """Exact prime decomposition of a nonzero integer or rational.
 
+    An int or Fraction is read through its numerator and denominator as it
+    is; any other value (a str, a float) is turned into a Fraction first.
     config defaults to the effort in scope (see :func:`factor_config`).
     Raises ValueError on zero and IncompleteFactorizationError when a
     cofactor resists the configured effort.
     """
     if config is None:
         config = _effort.get()
-    value = Fraction(value)
+    if not isinstance(value, (int, Fraction)):
+        value = Fraction(value)
     if value == 0:
         raise ValueError("cannot factor zero")
     sign = 1 if value > 0 else -1

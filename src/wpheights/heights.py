@@ -26,7 +26,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 
 from .factorization import _Value, factorize, iroot, nth_root_rational, primes_up_to
-from .radicals import ExactRoot
+from .radicals import ExactRoot, _largest_root
 from .projective import WeightedPoint, _unchecked_point, clear_denominators
 from .wgcd import WeightSystem, as_weight_system
 
@@ -45,7 +45,9 @@ class ProjectivePoint(_Value):
         cs = [c if isinstance(c, int) else Fraction(c) for c in coords]
         if not any(cs):
             raise ValueError("all coordinates are zero")
-        common = math.lcm(*(c.denominator for c in cs))
+        # From a list: a tuple built from a generator left the collector's
+        # allocation count about one higher per call (README, design notes).
+        common = math.lcm(*[c.denominator for c in cs])
         zs = [c.numerator * (common // c.denominator) for c in cs]
         g = math.gcd(*zs)
         zs = [z // g for z in zs]
@@ -66,7 +68,7 @@ def phi(p: WeightedPoint) -> ProjectivePoint:
     """
     exponents = [p.weights.weight_product // q for q in p.weights]
     powers = [(c.numerator**e, c.denominator**e) for c, e in zip(p.coords, exponents)]
-    common = math.lcm(*(d for _, d in powers))
+    common = math.lcm(*[d for _, d in powers])
     return ProjectivePoint(a * (common // d) for a, d in powers)
 
 
@@ -91,18 +93,11 @@ def weighted_height_direct(p: WeightedPoint) -> ExactRoot:
     """
     cleared = clear_denominators(p).coords
     nonzero = [(abs(c.numerator), q) for c, q in zip(cleared, p.weights) if c != 0]
-    lcm = math.lcm(*(q for _, q in nonzero))
+    lcm = math.lcm(*[q for _, q in nonzero])
     profiles = [(factorize(c).factors if c > 1 else {}, lcm // q) for c, q in nonzero]
     support = {ell for profile, _ in profiles for ell in profile}
     exponents = {ell: -min(profile.get(ell, 0) * s for profile, s in profiles) for ell in support}
-    largest = 0
-    for i, (c, q) in enumerate(nonzero):
-        # c**(1/q) against the largest term so far, both raised to a common index.
-        cb, qb = nonzero[largest]
-        common = math.lcm(q, qb)
-        if c ** (common // q) > cb ** (common // qb):
-            largest = i
-    profile, s = profiles[largest]
+    profile, s = profiles[_largest_root(nonzero)]
     for ell, e in profile.items():
         exponents[ell] += e * s
     return ExactRoot._from_exponents(exponents, lcm)

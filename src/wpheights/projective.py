@@ -13,7 +13,8 @@ naive_size each make one call to the wgcd module's exponent kernel and one
 division: per prime p the content exponent is the min over the nonzero x_i
 of floor(v_p(x_i) / u_i), read from the denominators and the gcd of the
 numerators, and coordinate i is divided by the content to the u_i.  The
-result is built as one point, or is the input when nothing changed.
+result is built as one point, or is the input when nothing changed; for
+naive_size it is one exact root, of the largest term alone.
 
 The canonical representative is chosen so that two rational tuples receive
 the same representative exactly when the ordinary projective points obtained
@@ -30,7 +31,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
 from .factorization import _Value, nth_root_rational
-from .radicals import ExactRoot
+from .radicals import ExactRoot, _largest_root
 from .wgcd import WeightSystem, WeightedTuple, _content, _divide, as_weight_system
 
 
@@ -46,7 +47,9 @@ class WeightedPoint(_Value):
         coords: Iterable[int | Fraction | str],
         weights: WeightSystem | Iterable[int],
     ) -> None:
-        cs = tuple(Fraction(c) for c in coords)
+        # From a list: a tuple built from a generator left the collector's
+        # allocation count about one higher per call (README, design notes).
+        cs = tuple([Fraction(c) for c in coords])
         ws = as_weight_system(weights)
         if len(cs) != len(ws):
             raise ValueError(f"{len(cs)} coordinates but {len(ws)} weights")
@@ -73,7 +76,7 @@ def scale(p: WeightedPoint, lam: int | Fraction) -> WeightedPoint:
     lam = Fraction(lam)
     if lam == 0:
         raise ValueError("scaling factor must be nonzero")
-    coords = tuple(c * lam**q for c, q in zip(p.coords, p.weights))
+    coords = tuple([c * lam**q for c, q in zip(p.coords, p.weights)])
     return WeightedPoint(coords, p.weights)
 
 
@@ -89,7 +92,7 @@ def _result(p: WeightedPoint, coords: list[int]) -> WeightedPoint:
     """p itself when coords are its coordinates, else the point on coords."""
     if all(a == b for a, b in zip(coords, p.coords)):
         return p
-    return _unchecked_point(tuple(map(Fraction, coords)), p.weights)
+    return _unchecked_point(tuple([Fraction(c) for c in coords]), p.weights)
 
 
 def _integer_coords(p: WeightedPoint) -> list[int]:
@@ -169,7 +172,7 @@ def canonical_rep(p: WeightedPoint) -> WeightedPoint:
     zero positions), so the resulting magnitudes are the unique smallest ones
     among tuples sharing the powered projective image.
     """
-    live_gcd = math.gcd(*(q for c, q in zip(p.coords, p.weights) if c != 0))
+    live_gcd = math.gcd(*[q for c, q in zip(p.coords, p.weights) if c != 0])
     # A zero coordinate stays zero whatever its unit, so it constrains nothing.
     units = [q // live_gcd for q in p.weights]
     coords = _divide(p.coords, units, _content(p.coords, units))
@@ -188,11 +191,13 @@ def naive_size(p: WeightedPoint) -> ExactRoot:
 
     This is the archimedean-only magnitude; it dominates the weighted height
     and agrees with it exactly when the powered tuple of the normalized
-    representative has gcd 1.
+    representative has gcd 1.  The largest term is picked by cross-raising
+    integers, so only its root is built: a losing coordinate is never factored.
     """
     units = p.weights.weights
     coords = _divide(p.coords, units, _content(p.coords, units))
-    return max(ExactRoot(abs(c), q) for c, q in zip(coords, p.weights) if c != 0)
+    terms = [(abs(c), q) for c, q in zip(coords, units) if c != 0]
+    return ExactRoot(*terms[_largest_root(terms)])
 
 
 def is_well_formed(weights: WeightSystem | Iterable[int]) -> bool:

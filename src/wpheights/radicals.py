@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import reduce
 
@@ -23,6 +24,22 @@ def _reduced_parts(exponents: dict[int, int], index: int) -> tuple[Fraction, int
     up = math.prod(p ** (e // shrink) for p, e in exponents.items() if e > 0)
     down = math.prod(p ** (-e // shrink) for p, e in exponents.items() if e < 0)
     return Fraction(up, down), index // shrink
+
+
+def _largest_root(terms: Sequence[tuple[int, int]]) -> int:
+    """Index of the first largest c**(1/q) over (c, q) pairs, with no root built.
+
+    Each term is cross-raised against the largest so far: with
+    L = lcm(q, q_best), c**(1/q) > c_best**(1/q_best) iff
+    c**(L/q) > c_best**(L/q_best), a comparison of integers.
+    """
+    best = 0
+    for i in range(1, len(terms)):
+        (c, q), (cb, qb) = terms[i], terms[best]
+        common = math.lcm(q, qb)
+        if c ** (common // q) > cb ** (common // qb):
+            best = i
+    return best
 
 
 def _canonical_parts(radicand: Fraction, index: int) -> tuple[Fraction, int]:
@@ -55,7 +72,13 @@ class ExactRoot(_Value):
 
     @classmethod
     def _from_exponents(cls, exponents: dict[int, int], index: int) -> "ExactRoot":
-        """Build prod(p**(e/index)) for integer exponents e, with no factoring."""
+        """Build prod(p**(e/index)) for integer exponents e, with no factoring.
+
+        No exponents means the value 1, awgcd's usual answer; every such call
+        returns the one shared instance, which is safe since roots never change.
+        """
+        if not exponents:
+            return _ONE
         root = object.__new__(cls)
         radicand, index = _reduced_parts(exponents, index)
         object.__setattr__(root, "radicand", radicand)
@@ -131,3 +154,6 @@ class ExactRoot(_Value):
         if self.index == 1:
             return str(self.radicand)
         return f"root({self.radicand},{self.index})"
+
+
+_ONE = ExactRoot(1)  # see ExactRoot._from_exponents

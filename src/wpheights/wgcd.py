@@ -30,7 +30,9 @@ class WeightSystem(_Value):
     weights: tuple[int, ...]
 
     def __init__(self, weights: Iterable[int]) -> None:
-        ws = tuple(_as_int(q) for q in weights)
+        # From a list: a tuple built from a generator left the collector's
+        # allocation count about one higher per call (README, design notes).
+        ws = tuple([_as_int(q) for q in weights])
         if not ws:
             raise ValueError("a weight system needs at least one weight")
         if any(q < 1 for q in ws):
@@ -48,7 +50,7 @@ class WeightSystem(_Value):
     @property
     def reduced_weights(self) -> tuple[int, ...]:
         g = self.weight_gcd
-        return tuple(q // g for q in self.weights)
+        return tuple([q // g for q in self.weights])
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -77,7 +79,7 @@ class WeightedTuple(_Value):
     weights: WeightSystem
 
     def __init__(self, coords: Iterable[int], weights: WeightSystem | Iterable[int]) -> None:
-        cs = tuple(_as_int(c) for c in coords)
+        cs = tuple([_as_int(c) for c in coords])
         ws = as_weight_system(weights)
         if len(cs) != len(ws):
             raise ValueError(f"{len(cs)} coordinates but {len(ws)} weights")
@@ -101,7 +103,7 @@ def _content(coords: Sequence[int | Fraction], units: Sequence[int]) -> dict[int
         if c.denominator > 1:
             for ell, k in factorize(c.denominator).factors.items():
                 exponents[ell] = min(exponents.get(ell, 0), -k // u)
-    g = math.gcd(*(c.numerator for c in coords))  # a zero coordinate leaves it alone
+    g = math.gcd(*[c.numerator for c in coords])  # a zero coordinate leaves it alone
     if g > 1:
         nonzero = [(abs(c.numerator), u) for c, u in zip(coords, units) if c]
         unit_min = min(u for _, u in nonzero)

@@ -51,6 +51,20 @@ def test_factorize_zero_rejected():
         factorize(0)
 
 
+def test_factorize_reads_ints_fractions_and_strings_alike():
+    for n in range(-3000, 3001):
+        if n:
+            assert factorize(n) == factorize(Fraction(n)) == factorize(str(n))
+    rng = random.Random(2411)
+    for _ in range(500):
+        value = Fraction(rng.randrange(-(10**9), 10**9) or 1, rng.randrange(1, 10**9))
+        assert factorize(value) == factorize(str(value))
+    assert factorize(True) == factorize(1) == Factorization(1)
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ValueError):
+            factorize(zero)
+
+
 def test_factorize_large_semiprime():
     n = 1_000_003 * 1_000_033
     assert factorize(n).factors == {1_000_003: 1, 1_000_033: 1}

@@ -1,7 +1,9 @@
 """Hard inputs for the answers that need no factoring.
 
 kronecker_check, phi and equivalent decide height one, compute the powered
-image and find a scaling witness without factoring anything.  Here every
+image and find a scaling witness without factoring anything; naive_size
+factors only its largest term's radicand, and nothing when that term's
+weight is 1.  Here every
 wpheights module has factorize and _factor_positive replaced by a function
 that fails the test, and the inputs are built on seeded 31-digit primes: the
 primes themselves, products of two of them, and the squares of both, under
@@ -29,6 +31,7 @@ from wpheights import (
     equivalent,
     is_prime,
     kronecker_check,
+    naive_size,
     phi,
     scale,
     weighted_height,
@@ -151,3 +154,10 @@ def test_prime_coordinate_without_factoring(no_factoring, capsys):
     assert (result.height_is_one, result.ratio_condition) == (False, False)
     assert _timed(main, ["kronecker", "-w", "2,3", f"{10**30 + 57},3"]) == 0
     assert capsys.readouterr().out == "false (ratio condition: false)\n"
+
+
+def test_naive_size_never_factors_a_losing_term(no_factoring):
+    # 2**110 beats (P*Q)**(1/2) for two 16-digit primes, and a weight-1
+    # root is rational: the semiprime, beyond the default effort, is skipped.
+    semiprime = 1000000000000037 * 1000000000000091
+    assert _timed(naive_size, WeightedPoint((2**110, semiprime), (1, 2))) == 2**110

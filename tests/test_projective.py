@@ -354,6 +354,14 @@ def test_naive_size_uses_normalized_representative():
     assert naive_size(WeightedPoint((1440, 700), (3, 2))) == ExactRoot(175, 2)
 
 
+def test_naive_size_builds_only_the_largest_root(factorize_calls):
+    # 10**(1/2) beats 7**(1/3), found by comparing 10**3 with 7**2: only the
+    # winning radicand is factored, to put its root in canonical form.
+    root = naive_size(WeightedPoint((10, 7), (2, 3)))
+    assert factorize_calls == [10]
+    assert (root.radicand, root.index) == (10, 2)
+
+
 def test_is_well_formed_examples():
     assert is_well_formed((1, 2, 3, 5))
     assert not is_well_formed((2, 4, 6, 10))

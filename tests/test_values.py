@@ -204,3 +204,17 @@ def test_integral_weights_and_root_indexes_are_accepted(value):
     assert type(WeightSystem((value, 3)).weights[0]) is int
     assert ExactRoot(2, value) == ExactRoot(2, 2)
     assert type(ExactRoot(2, value).index) is int
+
+
+@pytest.mark.parametrize("field", FactorConfig.__slots__)
+def test_non_integer_factor_config_fields_are_refused(field):
+    # A non-integer bound once failed only on some inputs, deep inside the sieve.
+    with pytest.raises(ValueError):
+        FactorConfig(**{field: 2.5})
+
+
+def test_integral_factor_config_fields_are_stored_as_ints():
+    config = FactorConfig(trial_bound=1e6, rho_iterations=Fraction(8), rho_attempts=2.0, seed="5")
+    assert config == FactorConfig(10**6, 8, 2, 5)
+    assert all(type(getattr(config, name)) is int for name in FactorConfig.__slots__)
+    assert FactorConfig(trial_bound=-3).trial_bound == -3  # a bound below 2 sweeps no primes
